@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
+import numpy as np
+
 from .errors import ModelDomainError
 
 MINUTES_PER_DAY = 1440.0
@@ -95,6 +97,26 @@ class ParameterSet:
 
 
 PARAMETER_FIELDS = tuple(f.name for f in fields(ParameterSet))
+
+
+class ParameterBatch:
+    """The parameters of N models, one ``(N,)`` array per name in
+    ``PARAMETER_NAMES``, for integrating all N models as one batch.
+
+    Each member is a validated ``ParameterSet``; all share
+    ``clamp_production``.
+    """
+
+    def __init__(self, sets):
+        self.sets = tuple(sets)
+        if not self.sets:
+            raise ModelDomainError("a parameter batch needs at least one member")
+        clamp = {s.clamp_production for s in self.sets}
+        if len(clamp) != 1:
+            raise ModelDomainError("batch members must share clamp_production")
+        self.clamp_production = clamp.pop()
+        for name in PARAMETER_NAMES:
+            setattr(self, name, np.array([getattr(s, name) for s in self.sets]))
 
 
 @dataclass(frozen=True)
@@ -201,6 +223,38 @@ def _rhs(t: float, R: float, A: float, C: float, p: ParameterSet,
           - p.h1 * R)
     dA = ((p.k3 * _hill(D, p.R_D, p.gamma) + p.k4 * R)
           * (1.0 - p.rho * _hill(C_h, p.R_C, p.beta))
+          - p.h2 * A)
+    dC = p.k5 * A - p.h3 * C
+    return (dR, dA, dC)
+
+
+def _hill_denominator(x, K, n):
+    # 1 + (K/x)^n, the reciprocal of hill(x, K, n). No overflow branch is
+    # needed on arrays: x = 0 or a tiny x gives inf, a response of exactly 0
+    # (callers silence numpy's divide and overflow warnings).
+    return 1.0 + (K / x) ** n
+
+
+def _rhs_batch(t: float, R, A, C, p: ParameterBatch,
+               d_const: float | None = None):
+    """``_rhs`` for a ``ParameterBatch``: R, A, C and the three returned
+    rates are ``(N,)`` arrays, member i using parameter set i.
+
+    Each coefficient * hill(x, K, n) is written coefficient / (1 + (K/x)^n)
+    to save array operations.
+    """
+    D = daylight(t) if d_const is None else d_const
+    C_h = np.maximum(C, 0.0)
+    c_beta = _hill_denominator(C_h, p.R_C, p.beta)
+    feedback = 1.0 - p.xi / c_beta - p.psi / _hill_denominator(C_h, p.R_C, p.delta)
+    if p.clamp_production:
+        feedback = np.maximum(feedback, 0.0)
+    dR = ((p.k1 + D * p.k2)
+          * (1.0 - p.phi / _hill_denominator(np.maximum(A, 0.0), p.R_A, p.alpha))
+          * feedback
+          - p.h1 * R)
+    dA = ((p.k3 / _hill_denominator(D, p.R_D, p.gamma) + p.k4 * R)
+          * (1.0 - p.rho / c_beta)
           - p.h2 * A)
     dC = p.k5 * A - p.h3 * C
     return (dR, dA, dC)

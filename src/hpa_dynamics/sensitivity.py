@@ -5,16 +5,26 @@ The relative sensitivity index of cortisol with respect to a parameter p is
 integrations. Parameters are ranked by the time-average of |SI| over one
 1440-min period after burn-in, and the Pearson correlation matrix of the SI
 time series is reported.
+
+``rank_parameters`` integrates the plus and minus copies of every parameter
+for one finite-difference step as one batch (``integrate_batch``). All
+members of a batch take the same steps, so step-selection noise cancels in
+the central differences (Bock's internal numerical differentiation). Each
+step size (``rel_step``, and ``rel_step / 2`` for the stability check) is one
+task for ``map_ordered``; the split does not depend on the worker count, so
+reports are identical for any ``HPA_DYN_THREADS``. Zero-valued parameters,
+whose relative SI is undefined, and parameters whose SI series has zero
+variance, whose correlation is undefined, are reported in ``skipped``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import SensitivityError
-from .integrator import IntegrationConfig, integrate
+from .integrator import IntegrationConfig, integrate, integrate_batch
 from .model import PARAMETER_NAMES, ParameterSet
 from .parallel import map_ordered
 
@@ -23,7 +33,13 @@ DEFAULT_REL_STEP = 1e-3
 
 @dataclass(frozen=True)
 class SensitivityReport:
-    """Per-parameter SI series, aggregate ranking and SI correlations."""
+    """Per-parameter SI series, aggregate ranking and SI correlations.
+
+    ``parameter_names`` are the ranked parameters in ``PARAMETER_NAMES``
+    order; ``si_series``, ``si_aggregate`` and the rows and columns of
+    ``correlation`` follow them. ``skipped`` holds ``(name, reason)`` for
+    every other parameter.
+    """
 
     parameter_names: tuple[str, ...]
     grid: np.ndarray
@@ -32,6 +48,7 @@ class SensitivityReport:
     ranking: tuple[str, ...]
     correlation: np.ndarray
     fd_unstable: tuple[str, ...] = ()
+    skipped: tuple[tuple[str, str], ...] = ()
 
 
 def _default_grid():
@@ -43,45 +60,60 @@ def _default_integration():
                              burn_in=14400.0)
 
 
+def _window(grid, integration: IntegrationConfig) -> IntegrationConfig:
+    return replace(integration, t0=float(grid[0]), t_end=float(grid[-1]))
+
+
 def _cortisol_on_grid(p: ParameterSet, grid, integration: IntegrationConfig):
-    cfg = replace(integration, t0=float(grid[0]), t_end=float(grid[-1]))
-    traj = integrate(cfg, p, output_times=grid)
+    traj = integrate(_window(grid, integration), p, output_times=grid)
     return traj.cortisol
+
+
+def _si(c_plus, c_minus, rel_step, c0):
+    """Central-difference relative sensitivity from the perturbed cortisol."""
+    return (c_plus - c_minus) / (2.0 * rel_step) / c0
+
+
+def _perturbed(p: ParameterSet, name: str, rel_step: float):
+    value = getattr(p, name)
+    return (replace(p, **{name: value * (1.0 + rel_step)}),
+            replace(p, **{name: value * (1.0 - rel_step)}))
+
+
+def _check_rel_step(rel_step):
+    if not (0 < rel_step <= 0.5):
+        raise SensitivityError(f"rel_step must lie in (0, 0.5], got {rel_step}")
 
 
 def si_timeseries(p: ParameterSet, name: str, grid=None,
                   rel_step: float = DEFAULT_REL_STEP,
-                  integration: IntegrationConfig | None = None,
-                  _baseline=None) -> np.ndarray:
+                  integration: IntegrationConfig | None = None) -> np.ndarray:
     """Central-difference SI(t) of cortisol with respect to one parameter."""
     if name not in PARAMETER_NAMES:
         raise SensitivityError(f"unknown parameter {name!r}")
-    if not (0 < rel_step <= 0.5):
-        raise SensitivityError(f"rel_step must lie in (0, 0.5], got {rel_step}")
-    value = getattr(p, name)
-    if value == 0:
+    _check_rel_step(rel_step)
+    if getattr(p, name) == 0:
         raise SensitivityError(f"parameter {name} is zero; relative SI undefined")
     grid = _default_grid() if grid is None else np.asarray(grid, dtype=float)
     integration = integration or _default_integration()
 
-    c0 = _baseline if _baseline is not None else _cortisol_on_grid(p, grid, integration)
+    c0 = _cortisol_on_grid(p, grid, integration)
     if np.any(c0 == 0):
         raise SensitivityError("baseline cortisol is zero on the grid")
-    c_plus = _cortisol_on_grid(replace(p, **{name: value * (1.0 + rel_step)}),
-                               grid, integration)
-    c_minus = _cortisol_on_grid(replace(p, **{name: value * (1.0 - rel_step)}),
-                                grid, integration)
-    return (c_plus - c_minus) / (2.0 * rel_step) / c0
+    # two scalar runs: a two-member batch would cost several times more
+    plus, minus = _perturbed(p, name, rel_step)
+    return _si(_cortisol_on_grid(plus, grid, integration),
+               _cortisol_on_grid(minus, grid, integration), rel_step, c0)
 
 
-def _si_task(args):
-    p, name, grid, rel_step, integration, baseline, check = args
-    series = si_timeseries(p, name, grid, rel_step, integration, _baseline=baseline)
-    halved = None
-    if check:
-        halved = si_timeseries(p, name, grid, rel_step / 2.0, integration,
-                               _baseline=baseline)
-    return name, series, halved
+def _si_batch(args):
+    """SI series of every named parameter, shape (len(names), len(grid)),
+    from one batch of their plus and minus copies."""
+    p, names, grid, rel_step, integration, baseline = args
+    sets = [q for name in names for q in _perturbed(p, name, rel_step)]
+    trajs = integrate_batch(_window(grid, integration), sets, output_times=grid)
+    cortisol = np.array([traj.cortisol for traj in trajs])
+    return _si(cortisol[0::2], cortisol[1::2], rel_step, baseline)
 
 
 def correlation_matrix(si_series: dict[str, np.ndarray]) -> np.ndarray:
@@ -103,38 +135,48 @@ def rank_parameters(p: ParameterSet, grid=None,
                     rel_step: float = DEFAULT_REL_STEP,
                     integration: IntegrationConfig | None = None,
                     check_stability: bool = True) -> SensitivityReport:
-    """Full sensitivity report over all 19 parameters.
+    """Sensitivity report over the 19 parameters.
 
     Aggregation is mean |SI(t)| over the grid; ``fd_unstable`` lists
     parameters whose aggregate moves by more than 1% when the finite
-    difference step is halved.
+    difference step is halved. Zero-valued parameters and parameters with
+    a constant SI series are left out of the ranking and the correlation
+    and listed in ``skipped``.
     """
+    _check_rel_step(rel_step)
     grid = _default_grid() if grid is None else np.asarray(grid, dtype=float)
     integration = integration or _default_integration()
     baseline = _cortisol_on_grid(p, grid, integration)
     if np.any(baseline == 0):
         raise SensitivityError("baseline cortisol is zero on the grid")
 
-    tasks = [(p, name, grid, rel_step, integration, baseline, check_stability)
-             for name in PARAMETER_NAMES]
-    results = map_ordered(_si_task, tasks)
+    skipped = [(name, "parameter is zero; relative SI undefined")
+               for name in PARAMETER_NAMES if getattr(p, name) == 0]
+    names = [name for name in PARAMETER_NAMES if getattr(p, name) != 0]
+    steps = (rel_step, rel_step / 2.0) if check_stability else (rel_step,)
+    results = map_ordered(_si_batch, [(p, names, grid, step, integration, baseline)
+                                      for step in steps])
 
     si_series: dict[str, np.ndarray] = {}
     si_aggregate: dict[str, float] = {}
     unstable = []
-    for name, series, halved in results:
+    for i, name in enumerate(names):
+        series = results[0][i]
+        if np.ptp(series) == 0.0:
+            skipped.append((name, "SI series has zero variance"))
+            continue
         si_series[name] = series
         agg = float(np.mean(np.abs(series)))
         si_aggregate[name] = agg
-        if halved is not None:
-            agg_halved = float(np.mean(np.abs(halved)))
-            denom = max(abs(agg), 1e-30)
-            if abs(agg_halved - agg) / denom >= 0.01:
+        if check_stability:
+            agg_halved = float(np.mean(np.abs(results[1][i])))
+            if abs(agg_halved - agg) / max(agg, 1e-30) >= 0.01:
                 unstable.append(name)
 
-    ranking = tuple(sorted(PARAMETER_NAMES, key=lambda n: -si_aggregate[n]))
-    corr = correlation_matrix(si_series)
-    return SensitivityReport(parameter_names=PARAMETER_NAMES, grid=grid,
+    ranked = tuple(si_series)
+    ranking = tuple(sorted(ranked, key=lambda n: -si_aggregate[n]))
+    corr = correlation_matrix(si_series) if si_series else np.empty((0, 0))
+    return SensitivityReport(parameter_names=ranked, grid=grid,
                              si_series=si_series, si_aggregate=si_aggregate,
                              ranking=ranking, correlation=corr,
-                             fd_unstable=tuple(unstable))
+                             fd_unstable=tuple(unstable), skipped=tuple(skipped))

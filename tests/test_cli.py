@@ -133,6 +133,23 @@ class TestSensitivity:
         for i, row in enumerate(corr[1:]):
             assert float(row[1 + i]) == 1.0
 
+    def test_rows_only_for_ranked_parameters(self, tmp_path):
+        # feedback-free: the four zero coefficients and the five constants
+        # acting only through them have no usable SI series
+        cfg = write_cfg(tmp_path, "integrate.burn_in_min = 1440\n"
+                        "sens.grid_dt_min = 120\n"
+                        "model.phi = 0\nmodel.psi = 0\nmodel.xi = 0\nmodel.rho = 0\n")
+        out = tmp_path / "sens"
+        assert run("sensitivity", "--config", str(cfg), "--out", str(out)) == EXIT_OK
+        rows = read_rows(out / "sensitivity.csv")
+        names = {r[0] for r in rows[1:]}
+        assert len(rows) == 1 + 10
+        assert not names & {"phi", "psi", "xi", "rho", "R_C", "R_A", "alpha",
+                            "beta", "delta"}
+        assert sorted(int(r[2]) for r in rows[1:]) == list(range(1, 11))
+        corr = read_rows(out / "correlation.csv")
+        assert len(corr) == 1 + 10 and len(corr[0]) == 1 + 10
+
 
 class TestExitCodes:
     def test_missing_data_file(self, tmp_path):

@@ -8,7 +8,9 @@ import pytest
 from hpa_dynamics import (HormoneState, IntegrationConfig, IntegrationError,
                           ParameterSet, SamplingError, default_initial_state,
                           integrate, sample, step_rk4, steady_state_open_loop)
-from hpa_dynamics.integrator import _rk4_step
+from hpa_dynamics import integrator
+from hpa_dynamics.integrator import _rk4_step, integrate_batch
+from hpa_dynamics.model import _rhs
 
 DECAY = ParameterSet(k1=0, k2=0, k3=0, k4=0, k5=0)
 
@@ -35,9 +37,9 @@ class TestStepRk4:
         # so halving dt shrinks it by about 32x
         def gap(dt):
             y = burned_state.as_tuple()
-            full = _rk4_step(0.0, y, dt, params, None)
-            h1 = _rk4_step(0.0, y, dt / 2, params, None)
-            h2 = _rk4_step(dt / 2, h1, dt / 2, params, None)
+            full = _rk4_step(0.0, y, dt, params, None, _rhs)
+            h1 = _rk4_step(0.0, y, dt / 2, params, None, _rhs)
+            h2 = _rk4_step(dt / 2, h1, dt / 2, params, None, _rhs)
             return max(abs(a - b) for a, b in zip(full, h2))
 
         r1 = gap(8.0) / gap(4.0)
@@ -113,6 +115,12 @@ class TestIntegrationConfig:
         with pytest.raises(IntegrationError):
             IntegrationConfig(mode="euler")
 
+    @pytest.mark.parametrize("name", ["t0", "t_end", "dt", "burn_in", "output_dt"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(IntegrationError, match=name):
+            IntegrationConfig(**{name: value})
+
 
 class TestIntegrate:
     def test_default_output_grid(self, params):
@@ -152,6 +160,77 @@ class TestIntegrate:
         s0 = HormoneState(0.1, 0.2, 0.3)
         cfg = IntegrationConfig(t0=0, t_end=0, burn_in=0, initial_state=s0)
         assert integrate(cfg, params).final_state() == s0
+
+
+# output times closer together than the integrator's minimum step, repeated,
+# or within the landing tolerance of each other or of the horizon's ends
+LANDING_CASES = [
+    [5.0, 5.0 + 1e-7, 10.0],
+    [5.0, 5.0, 10.0],
+    [0.0, 1e-10, 5.0, 5.0 + 5e-10, 10.0 - 1e-7, 10.0],
+    [2.0, 10.0 + 1e-9],
+]
+
+
+@pytest.fixture
+def step_budget(monkeypatch):
+    """Fail, instead of hanging, once an integration passes 2,000 steps."""
+    original = integrator._ck_step
+    steps = []
+
+    def counted(*args):
+        steps.append(None)
+        if len(steps) > 2000:
+            raise AssertionError("more than 2000 steps for a 10-min horizon")
+        return original(*args)
+
+    monkeypatch.setattr(integrator, "_ck_step", counted)
+
+
+class TestOutputLanding:
+    CFG = IntegrationConfig(t_end=10, burn_in=0)
+
+    @pytest.mark.parametrize("times", LANDING_CASES)
+    def test_one_row_per_output_time(self, params, times, step_budget):
+        traj = integrate(self.CFG, params, output_times=times)
+        assert list(traj.times) == sorted(times)
+        assert traj.states.shape == (len(times), 3)
+
+    @pytest.mark.parametrize("times", LANDING_CASES)
+    def test_one_row_per_output_time_batch(self, params, times, step_budget):
+        sets = [params, params.with_values(k5=0.005)]
+        for traj, p in zip(integrate_batch(self.CFG, sets, output_times=times), sets):
+            assert list(traj.times) == sorted(times)
+            assert traj.states.shape == (len(times), 3)
+            ref = integrate(self.CFG, p, output_times=times)
+            assert np.allclose(traj.states, ref.states, rtol=1e-6, atol=0)
+
+    def test_close_times_get_close_states(self, params, step_budget):
+        traj = integrate(self.CFG, params, output_times=[5.0, 5.0 + 1e-7, 10.0])
+        assert np.allclose(traj.states[0], traj.states[1], rtol=1e-6, atol=0)
+
+
+class TestIntegrateBatch:
+    @pytest.mark.parametrize("mode", ["adaptive", "fixed"])
+    def test_members_match_scalar_integrate(self, params, mode):
+        rng = np.random.default_rng(3)
+        sets = [params] + [
+            params.with_values(**{name: getattr(params, name) * rng.uniform(0.7, 1.3)})
+            for name in ("k1", "k4", "R_C", "beta", "xi", "h3")]
+        cfg = IntegrationConfig(t0=0, t_end=720, burn_in=1440, mode=mode, dt=1.0)
+        trajs = integrate_batch(cfg, sets)
+        assert len(trajs) == len(sets)
+        for traj, p in zip(trajs, sets):
+            ref = integrate(cfg, p)
+            assert traj.params is p
+            assert np.array_equal(traj.times, ref.times)
+            assert np.max(np.abs(traj.states - ref.states) / np.abs(ref.states)) <= 1e-6
+
+    def test_shared_initial_state(self, params):
+        s0 = HormoneState(0.1, 0.2, 0.3)
+        cfg = IntegrationConfig(t0=0, t_end=0, burn_in=0, initial_state=s0)
+        trajs = integrate_batch(cfg, [params, params.with_values(k1=1.0)])
+        assert [traj.final_state() for traj in trajs] == [s0, s0]
 
 
 class TestSample:

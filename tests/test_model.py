@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from hpa_dynamics import (Derivatives, HormoneState, PARAMETER_NAMES,
                           ParameterSet, ModelDomainError, crh_feedback_factor,
                           daylight, hill, rhs, steady_state_open_loop)
+from hpa_dynamics.model import ParameterBatch, _rhs, _rhs_batch
 
 finite_pos = st.floats(min_value=1e-6, max_value=1e6,
                        allow_nan=False, allow_infinity=False)
@@ -189,6 +190,56 @@ class TestRhs:
 
     def test_derivatives_as_tuple(self):
         assert Derivatives(1.0, 2.0, 3.0).as_tuple() == (1.0, 2.0, 3.0)
+
+
+def random_parameter_set(rng, clamp_production=True):
+    """In-domain parameters spread well beyond the reference values."""
+    return ParameterSet(
+        k1=rng.uniform(0, 2), k2=rng.uniform(0, 2), k3=rng.uniform(0, 2),
+        k4=rng.uniform(0, 0.3), k5=rng.uniform(0, 0.02),
+        h1=rng.uniform(0.01, 1), h2=rng.uniform(0.005, 0.1),
+        h3=rng.uniform(0.001, 0.05), R_C=rng.uniform(0.1, 5),
+        R_A=rng.uniform(0.1, 5), R_D=rng.uniform(0.1, 5),
+        alpha=rng.uniform(1, 6), beta=rng.uniform(1, 6),
+        gamma=rng.uniform(1, 6), delta=rng.uniform(1, 6),
+        phi=rng.uniform(0, 1), psi=rng.uniform(0, 2), xi=rng.uniform(0, 3),
+        rho=rng.uniform(0, 1), clamp_production=clamp_production)
+
+
+class TestRhsBatch:
+    @pytest.mark.parametrize("clamp_production", [True, False])
+    def test_matches_scalar_rhs_per_member(self, clamp_production):
+        # 1e-13 relative to the magnitude of the terms each rate sums:
+        # production minus removal can cancel far below either term
+        rng = np.random.default_rng(7)
+        worst = 0.0
+        for d_const in (None, 0.0, 0.6):
+            for _ in range(20):
+                sets = [random_parameter_set(rng, clamp_production)
+                        for _ in range(16)]
+                R, A, C = rng.uniform(0, 5, size=(3, 16))
+                A[::4] = 0.0
+                C[::3] = 0.0
+                t = rng.uniform(0, 3000)
+                with np.errstate(divide="ignore", over="ignore"):
+                    got = _rhs_batch(t, R, A, C, ParameterBatch(sets), d_const)
+                for i, p in enumerate(sets):
+                    want = _rhs(t, R[i], A[i], C[i], p, d_const)
+                    removal = (p.h1 * R[i], p.h2 * A[i], p.h3 * C[i])
+                    for j in range(3):
+                        scale = abs(want[j] + removal[j]) + abs(removal[j])
+                        gap = abs(got[j][i] - want[j])
+                        worst = max(worst, gap / scale if gap else 0.0)
+        assert worst <= 1e-13
+
+    def test_members_share_clamp_production(self):
+        with pytest.raises(ModelDomainError):
+            ParameterBatch([ParameterSet(),
+                            ParameterSet(clamp_production=False)])
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ModelDomainError):
+            ParameterBatch([])
 
 
 class TestSteadyStateOpenLoop:

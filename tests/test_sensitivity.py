@@ -15,6 +15,9 @@ D_CONST = 0.5
 FROZEN_CFG = IntegrationConfig(t0=0.0, t_end=60.0, burn_in=2880.0,
                                daylight_const=D_CONST)
 FROZEN_GRID = np.array([0.0, 15.0, 30.0, 45.0, 60.0])
+# a short window on the attractor's approach, for whole reports
+SHORT_CFG = IntegrationConfig(t0=0.0, t_end=120.0, burn_in=1440.0)
+SHORT_GRID = np.array([0.0, 30.0, 60.0, 90.0, 120.0])
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +129,43 @@ class TestRankParameters:
         # cortisol clearance must matter far more than the CRH Hill exponent
         assert report.si_aggregate["h3"] > 10 * report.si_aggregate["alpha"]
 
+    def test_nothing_skipped_at_reference(self, report):
+        assert report.skipped == ()
+
+    def test_batch_matches_scalar_si(self, params):
+        report = rank_parameters(params, grid=SHORT_GRID, integration=SHORT_CFG,
+                                 check_stability=False)
+        for name in ("k5", "h3", "R_C", "alpha"):
+            scalar = si_timeseries(params, name, grid=SHORT_GRID,
+                                   integration=SHORT_CFG)
+            assert np.max(np.abs(report.si_series[name] - scalar)) <= 1e-7
+
+    def test_si_series_independent_of_stability_check(self, params):
+        on = rank_parameters(params, grid=SHORT_GRID, integration=SHORT_CFG,
+                             check_stability=True)
+        off = rank_parameters(params, grid=SHORT_GRID, integration=SHORT_CFG,
+                              check_stability=False)
+        assert on.si_series.keys() == off.si_series.keys()
+        for name in on.si_series:
+            assert np.array_equal(on.si_series[name], off.si_series[name])
+
+    def test_feedback_free_skips_undefined_parameters(self, open_loop):
+        report = rank_parameters(open_loop, grid=SHORT_GRID, integration=SHORT_CFG)
+        reasons = dict(report.skipped)
+        zero = {"phi", "psi", "xi", "rho"}
+        # these act only through the switched-off feedback terms
+        flat = {"R_C", "R_A", "alpha", "beta", "delta"}
+        assert set(reasons) == zero | flat
+        assert all("zero" in reasons[name] and "variance" not in reasons[name]
+                   for name in zero)
+        assert all("zero variance" in reasons[name] for name in flat)
+        ranked = tuple(n for n in PARAMETER_NAMES if n not in reasons)
+        assert report.parameter_names == ranked
+        assert set(report.ranking) == set(ranked)
+        assert report.si_series.keys() == report.si_aggregate.keys() == set(ranked)
+        assert report.correlation.shape == (len(ranked), len(ranked))
+        assert set(report.fd_unstable) <= set(ranked)
+
 
 class TestParallel:
     def test_worker_count_env(self, monkeypatch):
@@ -144,11 +184,13 @@ class TestParallel:
         cfg = IntegrationConfig(t0=0.0, t_end=120.0, burn_in=1440.0)
         monkeypatch.setenv(ENV_VAR, "1")
         serial = rank_parameters(params, grid=grid, integration=cfg,
-                                 check_stability=False)
+                                 check_stability=True)
         monkeypatch.setenv(ENV_VAR, "2")
         pooled = rank_parameters(params, grid=grid, integration=cfg,
-                                 check_stability=False)
+                                 check_stability=True)
         assert serial.ranking == pooled.ranking
+        assert serial.si_aggregate == pooled.si_aggregate
+        assert serial.fd_unstable == pooled.fd_unstable
         for name in PARAMETER_NAMES:
             assert np.array_equal(serial.si_series[name],
                                   pooled.si_series[name])
