@@ -1,0 +1,84 @@
+"""Golden outputs: SHA-256 digests of CLI files and exact integrator states.
+
+These pin the bytes the program writes and the bits the integrators return,
+so a refactor of the march, the steppers or the RHS that is meant to leave
+the arithmetic alone must leave every digest here unchanged. A change that
+alters results on purpose updates the digests and says so.
+"""
+
+import hashlib
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from hpa_dynamics import IntegrationConfig, ParameterSet
+from hpa_dynamics.cli import EXIT_OK, main
+from hpa_dynamics.integrator import _rk4_step, integrate_batch
+from hpa_dynamics.model import _rhs
+
+DATA = Path(__file__).resolve().parents[1] / "data" / "synthetic_observations.csv"
+
+
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+# case: (config text, command and its arguments, {output file: digest})
+GOLDEN_FILES = {
+    "simulate-adaptive": ("", ("simulate",), {
+        "trajectory.csv": "d18ec4f5761cf30bbeb6c80b508a065dc17d86bae0d456902a3c42d7a67ef202",
+        "manifest.txt": "e82e219eff8853e189ddc6db9f094d013c024530bafedac8cd1be213af25e06b",
+    }),
+    "simulate-fixed": (
+        "integrate.mode = fixed\nintegrate.dt_min = 1\nintegrate.burn_in_min = 1440\n",
+        ("simulate",), {
+            "trajectory.csv": "5841c131ef1d134329fe06d305598409bae8ec8e36ba16ac86ed26f1fac3533c",
+            "manifest.txt": "7ce2c145e06111c7f499a1cc31e193fb1e57bcc7e1d467937e3e534ded8bfb29",
+        }),
+    "validate": ("", ("validate", "--data", str(DATA)), {
+        "scores.csv": "066315bc528cd9aa48ebf1344359adef55a825bbba7a97f415f4a2c957a345d7",
+    }),
+    "sensitivity": ("integrate.burn_in_min = 1440\nsens.grid_dt_min = 10\n", ("sensitivity",), {
+        "sensitivity.csv": "1672274727a0785bf42b2e9c21ee8ee68af3a92f06da02a5e2402b6b2793da38",
+    }),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_FILES))
+def test_cli_outputs_unchanged(tmp_path, monkeypatch, case):
+    config_text, argv, expected = GOLDEN_FILES[case]
+    # a relative --out keeps the manifest's out.dir line independent of tmp_path
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(config_text, encoding="utf-8")
+    assert main([*argv, "--config", "run.cfg", "--out", "out"]) == EXIT_OK
+    got = {name: digest((tmp_path / "out" / name).read_bytes()) for name in expected}
+    assert got == expected
+
+
+BATCH_SETS = [ParameterSet(), ParameterSet(k4=0.09), ParameterSet(R_C=0.95, xi=2.2)]
+BATCH_CFG = IntegrationConfig(t0=0, t_end=180, burn_in=720, dt=1.0)
+
+
+@pytest.mark.parametrize("mode, expected", [
+    ("adaptive", "6d5b46224e17fd25b315bc84992d464a983b44406e2f8682be586ef0c8e6b249"),
+    ("fixed", "f27d089eb970267c2dd7e9e43a31f4525de9192f0e7e81ac75af332c55018774"),
+])
+def test_batch_states_unchanged(mode, expected):
+    trajs = integrate_batch(replace(BATCH_CFG, mode=mode), BATCH_SETS)
+    assert digest(np.stack([t.states for t in trajs]).tobytes()) == expected
+
+
+def test_fixed_batch_members_equal_their_own_runs():
+    # in fixed mode no member influences another's steps, so a member's
+    # states are exactly those of a batch holding it alone
+    cfg = replace(BATCH_CFG, mode="fixed")
+    for traj, p in zip(integrate_batch(cfg, BATCH_SETS), BATCH_SETS):
+        assert np.array_equal(traj.states, integrate_batch(cfg, [p])[0].states)
+
+
+def test_rk4_step_frozen_daylight_unchanged():
+    got = _rk4_step(100.0, (1.5, 20.0, 3.0), 0.5, ParameterSet(), 0.7, _rhs)
+    assert [v.hex() for v in got] == [
+        "0x1.602514e145b82p+0", "0x1.3bd47da767352p+4", "0x1.83716bc8d8265p+1"]
