@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from math import isfinite, sqrt
 
 import numpy as np
 
@@ -43,6 +44,10 @@ _PI_ALPHA = 0.7 / 5.0
 _PI_BETA = 0.4 / 5.0
 # an output time this close past the current time is recorded there
 _LAND_TOL = 1e-9
+# most steps one march (burn-in or recorded window) may take, and most
+# output intervals one grid may have: every integration ends within a
+# bounded amount of work and memory
+_MAX_STEPS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -103,25 +108,44 @@ class Trajectory:
         return HormoneState(*self.states[-1])
 
 
-def _check_finite(t, R, A, C):
-    if not (math.isfinite(R) and math.isfinite(A) and math.isfinite(C)):
+def _check_finite(t, y):
+    R, A, C = y
+    if not (isfinite(R) and isfinite(A) and isfinite(C)):
         raise IntegrationError(f"non-finite state at t={t}", t=t)
 
 
-def _check_finite_batch(t, R, A, C):
+def _check_finite_batch(t, y):
+    R, A, C = y
     if not (np.isfinite(R).all() and np.isfinite(A).all()
             and np.isfinite(C).all()):
         raise IntegrationError(f"non-finite state at t={t}", t=t)
 
 
 def _error_norm(y, y_new, err, abs_tol, rel_tol):
-    """RMS of the local error estimate in units of the mixed tolerance."""
-    scale = 0.0
-    for i in range(3):
-        tol = abs_tol + rel_tol * max(abs(y[i]), abs(y_new[i]))
-        # clamp the ratio so extreme tolerances cannot overflow the square
-        scale += min(abs(err[i] / tol), 1e150) ** 2
-    return math.sqrt(scale / 3.0)
+    """RMS of the local error estimate in units of the mixed tolerance.
+
+    Straight-line code for speed; each ``b if b > a else a`` is ``max(a, b)``
+    and each clamp is ``min(ratio, 1e150)``, ties and nan included, and
+    the squares are summed in component order, so the result is the same
+    float as a loop over ``max``/``min`` accumulating from 0.0.
+    """
+    R, A, C = y
+    R1, A1, C1 = y_new
+    eR, eA, eC = err
+    # clamp each ratio so extreme tolerances cannot overflow the square
+    a, b = abs(R), abs(R1)
+    r0 = abs(eR / (abs_tol + rel_tol * (b if b > a else a)))
+    if 1e150 < r0:
+        r0 = 1e150
+    a, b = abs(A), abs(A1)
+    r1 = abs(eA / (abs_tol + rel_tol * (b if b > a else a)))
+    if 1e150 < r1:
+        r1 = 1e150
+    a, b = abs(C), abs(C1)
+    r2 = abs(eC / (abs_tol + rel_tol * (b if b > a else a)))
+    if 1e150 < r2:
+        r2 = 1e150
+    return sqrt((r0 ** 2 + r1 ** 2 + r2 ** 2) / 3.0)
 
 
 def _error_norm_batch(y, y_new, err, abs_tol, rel_tol):
@@ -152,24 +176,27 @@ def step_rk4(t: float, s: HormoneState, dt: float, p: ParameterSet,
     if not dt > 0:
         raise IntegrationError(f"dt must be > 0, got {dt}")
     y = _rk4_step(t, s.as_tuple(), dt, p, d_const, _rhs)
-    _check_finite(t + dt, *y)
+    _check_finite(t + dt, y)
     return HormoneState(*y)
 
 
 def _rk4_step(t, y, dt, p, d_const, rhs):
     R, A, C = y
-    k1 = rhs(t, R, A, C, p, d_const)
+    k1R, k1A, k1C = rhs(t, R, A, C, p, d_const)
     half = 0.5 * dt
-    k2 = rhs(t + half, R + half * k1[0], A + half * k1[1], C + half * k1[2],
-             p, d_const)
-    k3 = rhs(t + half, R + half * k2[0], A + half * k2[1], C + half * k2[2],
-             p, d_const)
-    k4 = rhs(t + dt, R + dt * k3[0], A + dt * k3[1], C + dt * k3[2],
-             p, d_const)
+    t_mid = t + half
+    # both midpoint stages see the same forcing: evaluate it once
+    d_mid = daylight(t_mid) if d_const is None else d_const
+    k2R, k2A, k2C = rhs(t_mid, R + half * k1R, A + half * k1A, C + half * k1C,
+                        p, d_mid)
+    k3R, k3A, k3C = rhs(t_mid, R + half * k2R, A + half * k2A, C + half * k2C,
+                        p, d_mid)
+    k4R, k4A, k4C = rhs(t + dt, R + dt * k3R, A + dt * k3A, C + dt * k3C,
+                        p, d_const)
     sixth = dt / 6.0
-    return (R + sixth * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0]),
-            A + sixth * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1]),
-            C + sixth * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2]))
+    return (R + sixth * (k1R + 2.0 * (k2R + k3R) + k4R),
+            A + sixth * (k1A + 2.0 * (k2A + k3A) + k4A),
+            C + sixth * (k1C + 2.0 * (k2C + k3C) + k4C))
 
 
 def _integrate_fixed(t_start, t_stop, dt, y, p, d_const, record):
@@ -185,14 +212,14 @@ def _integrate_fixed(t_start, t_stop, dt, y, p, d_const, record):
     for i in range(n_full):
         t = t_start + i * dt
         y = _rk4_step(t, y, dt, p, d_const, rhs)
-        check_finite(t + dt, *y)
+        check_finite(t + dt, y)
         if record:
             times.append(t_start + (i + 1) * dt)
             states.append(y)
     t = t_start + n_full * dt
     if t < t_stop - 1e-9:
         y = _rk4_step(t, y, t_stop - t, p, d_const, rhs)
-        check_finite(t_stop, *y)
+        check_finite(t_stop, y)
         if record:
             times.append(t_stop)
             states.append(y)
@@ -200,38 +227,44 @@ def _integrate_fixed(t_start, t_stop, dt, y, p, d_const, record):
 
 
 def _ck_step(t, y, h, p, d_const, rhs):
-    """One Cash-Karp stage evaluation: returns (y5, error_estimate)."""
+    """One Cash-Karp stage evaluation: returns (y5, error_estimate).
+
+    Unrolled over the three state components; works unchanged on floats
+    and on ``(N,)`` arrays.
+    """
     R, A, C = y
-    k1 = rhs(t, R, A, C, p, d_const)
-    k2 = rhs(t + _C2 * h,
-             R + h * _A21 * k1[0],
-             A + h * _A21 * k1[1],
-             C + h * _A21 * k1[2], p, d_const)
-    k3 = rhs(t + _C3 * h,
-             R + h * (_A31 * k1[0] + _A32 * k2[0]),
-             A + h * (_A31 * k1[1] + _A32 * k2[1]),
-             C + h * (_A31 * k1[2] + _A32 * k2[2]), p, d_const)
-    k4 = rhs(t + _C4 * h,
-             R + h * (_A41 * k1[0] + _A42 * k2[0] + _A43 * k3[0]),
-             A + h * (_A41 * k1[1] + _A42 * k2[1] + _A43 * k3[1]),
-             C + h * (_A41 * k1[2] + _A42 * k2[2] + _A43 * k3[2]), p, d_const)
-    k5 = rhs(t + _C5 * h,
-             R + h * (_A51 * k1[0] + _A52 * k2[0] + _A53 * k3[0] + _A54 * k4[0]),
-             A + h * (_A51 * k1[1] + _A52 * k2[1] + _A53 * k3[1] + _A54 * k4[1]),
-             C + h * (_A51 * k1[2] + _A52 * k2[2] + _A53 * k3[2] + _A54 * k4[2]),
-             p, d_const)
-    k6 = rhs(t + _C6 * h,
-             R + h * (_A61 * k1[0] + _A62 * k2[0] + _A63 * k3[0]
-                      + _A64 * k4[0] + _A65 * k5[0]),
-             A + h * (_A61 * k1[1] + _A62 * k2[1] + _A63 * k3[1]
-                      + _A64 * k4[1] + _A65 * k5[1]),
-             C + h * (_A61 * k1[2] + _A62 * k2[2] + _A63 * k3[2]
-                      + _A64 * k4[2] + _A65 * k5[2]), p, d_const)
-    y5 = tuple(y[i] + h * (_B1 * k1[i] + _B3 * k3[i] + _B4 * k4[i] + _B6 * k6[i])
-               for i in range(3))
-    err = tuple(h * (_E1 * k1[i] + _E3 * k3[i] + _E4 * k4[i]
-                     + _E5 * k5[i] + _E6 * k6[i])
-                for i in range(3))
+    k1R, k1A, k1C = rhs(t, R, A, C, p, d_const)
+    ha = h * _A21
+    k2R, k2A, k2C = rhs(t + _C2 * h,
+                        R + ha * k1R,
+                        A + ha * k1A,
+                        C + ha * k1C, p, d_const)
+    k3R, k3A, k3C = rhs(t + _C3 * h,
+                        R + h * (_A31 * k1R + _A32 * k2R),
+                        A + h * (_A31 * k1A + _A32 * k2A),
+                        C + h * (_A31 * k1C + _A32 * k2C), p, d_const)
+    k4R, k4A, k4C = rhs(t + _C4 * h,
+                        R + h * (_A41 * k1R + _A42 * k2R + _A43 * k3R),
+                        A + h * (_A41 * k1A + _A42 * k2A + _A43 * k3A),
+                        C + h * (_A41 * k1C + _A42 * k2C + _A43 * k3C), p, d_const)
+    k5R, k5A, k5C = rhs(t + _C5 * h,
+                        R + h * (_A51 * k1R + _A52 * k2R + _A53 * k3R + _A54 * k4R),
+                        A + h * (_A51 * k1A + _A52 * k2A + _A53 * k3A + _A54 * k4A),
+                        C + h * (_A51 * k1C + _A52 * k2C + _A53 * k3C + _A54 * k4C),
+                        p, d_const)
+    k6R, k6A, k6C = rhs(t + _C6 * h,
+                        R + h * (_A61 * k1R + _A62 * k2R + _A63 * k3R
+                                 + _A64 * k4R + _A65 * k5R),
+                        A + h * (_A61 * k1A + _A62 * k2A + _A63 * k3A
+                                 + _A64 * k4A + _A65 * k5A),
+                        C + h * (_A61 * k1C + _A62 * k2C + _A63 * k3C
+                                 + _A64 * k4C + _A65 * k5C), p, d_const)
+    y5 = (R + h * (_B1 * k1R + _B3 * k3R + _B4 * k4R + _B6 * k6R),
+          A + h * (_B1 * k1A + _B3 * k3A + _B4 * k4A + _B6 * k6A),
+          C + h * (_B1 * k1C + _B3 * k3C + _B4 * k4C + _B6 * k6C))
+    err = (h * (_E1 * k1R + _E3 * k3R + _E4 * k4R + _E5 * k5R + _E6 * k6R),
+           h * (_E1 * k1A + _E3 * k3A + _E4 * k4A + _E5 * k5A + _E6 * k6A),
+           h * (_E1 * k1C + _E3 * k3C + _E4 * k4C + _E5 * k5C + _E6 * k6C))
     return y5, err
 
 
@@ -269,20 +302,27 @@ def _integrate_adaptive(t_start, t_stop, y, p, abs_tol, rel_tol, d_const,
     final state. A step never passes the next output time: it is shortened
     to land on it, however short that makes it, so each output time gets
     exactly one state. A batch takes one step sequence, sized by the worst
-    member's error norm.
+    member's error norm. Raises ``IntegrationError`` once more than
+    ``_MAX_STEPS`` steps have been tried.
     """
     rhs, error_norm, check_finite = _kernels(p)
     out_idx = _record_due(t_start, y, output_times, 0, states)
+    n_out = len(output_times)
     t = t_start
+    t_last = t_stop - 1e-12
     h = min(_MAX_STEP, max(_MIN_STEP, (t_stop - t_start) / 100.0))
     err_prev = 1e-4
-    while t < t_stop - 1e-12:
+    budget = _MAX_STEPS
+    while t < t_last:
+        budget -= 1
+        if budget < 0:
+            raise IntegrationError(f"more than {_MAX_STEPS} steps tried by t={t}", t=t)
         target = t_stop
-        if out_idx < len(output_times):
+        if out_idx < n_out:
             target = min(target, output_times[out_idx])
         h_try = min(h, target - t)
         y_new, err = _ck_step(t, y, h_try, p, d_const, rhs)
-        check_finite(t + h_try, *y_new)
+        check_finite(t + h_try, y_new)
         err_norm = error_norm(y, y_new, err, abs_tol, rel_tol)
         if err_norm <= 1.0:
             t = t + h_try
@@ -293,7 +333,7 @@ def _integrate_adaptive(t_start, t_stop, y, p, abs_tol, rel_tol, d_const,
         if h < _MIN_STEP:
             raise IntegrationError(f"step size underflow at t={t}", t=t)
     # t is within 1e-12 of t_stop, and output times lie within _LAND_TOL of it
-    for k in range(out_idx, len(output_times)):
+    for k in range(out_idx, n_out):
         states[k] = y
     return y
 
@@ -304,7 +344,11 @@ def default_initial_state(p: ParameterSet, t: float = 0.0) -> HormoneState:
 
 
 def _output_grid(t0, t_end, output_dt):
-    n = int(math.floor((t_end - t0) / output_dt + 1e-9))
+    n = (t_end - t0) / output_dt + 1e-9
+    if n > _MAX_STEPS:
+        raise IntegrationError(
+            f"output grid of more than {_MAX_STEPS} intervals (output_dt={output_dt})")
+    n = int(math.floor(n))
     grid = [t0 + i * output_dt for i in range(n + 1)]
     if grid[-1] < t_end - 1e-9:
         grid.append(t_end)
@@ -317,6 +361,12 @@ def _solve(config: IntegrationConfig, p, y, output_times):
     ``states`` has shape (time, 3) for one model and (time, 3, member) for
     a batch.
     """
+    # each step spans at most dt (fixed) or _MAX_STEP (adaptive) minutes
+    longest = config.dt if config.mode == "fixed" else _MAX_STEP
+    for span in (config.burn_in, config.t_end - config.t0):
+        if span / longest > _MAX_STEPS:
+            raise IntegrationError(f"integrating {span} min takes more than "
+                                   f"{_MAX_STEPS} steps of at most {longest} min")
     d_const = config.daylight_const
     if config.mode == "fixed":
         if config.burn_in > 0:
@@ -330,8 +380,12 @@ def _solve(config: IntegrationConfig, p, y, output_times):
             output_times = _output_grid(config.t0, config.t_end, config.output_dt)
         else:
             output_times = sorted(float(t) for t in output_times)
-            if output_times and (output_times[0] < config.t0 - _LAND_TOL
-                                 or output_times[-1] > config.t_end + _LAND_TOL):
+            if not output_times:
+                raise IntegrationError("output_times is empty")
+            if len(output_times) > _MAX_STEPS:
+                raise IntegrationError(f"more than {_MAX_STEPS} output times")
+            if (output_times[0] < config.t0 - _LAND_TOL
+                    or output_times[-1] > config.t_end + _LAND_TOL):
                 raise IntegrationError("output times outside [t0, t_end]")
         if config.burn_in > 0:
             y = _integrate_adaptive(config.t0 - config.burn_in, config.t0, y, p,
@@ -340,8 +394,6 @@ def _solve(config: IntegrationConfig, p, y, output_times):
         states = np.empty((len(times),) + np.shape(y))
         y = _integrate_adaptive(config.t0, config.t_end, y, p, config.abs_tol,
                                 config.rel_tol, d_const, times, states)
-    if not times:
-        times, states = [config.t0], np.asarray([y], dtype=float)
     return np.asarray(times, dtype=float), states
 
 

@@ -14,6 +14,7 @@ import numpy as np
 from .errors import ModelDomainError
 
 MINUTES_PER_DAY = 1440.0
+_INF = math.inf
 
 #: Canonical ordering of the 19 scalar model parameters (used by the
 #: sensitivity ranking and by serialization).
@@ -167,7 +168,8 @@ def _hill(x: float, K: float, n: float) -> float:
         r = (x / K) ** n
     except OverflowError:
         return 1.0
-    if math.isinf(r):
+    # r >= 0 or nan here, so this is math.isinf(r) without the call
+    if r == _INF:
         return 1.0
     return r / (1.0 + r)
 
@@ -213,8 +215,8 @@ def _rhs(t: float, R: float, A: float, C: float, p: ParameterSet,
     # slightly negative states, where fractional exponents are undefined.
     A_h = A if A > 0.0 else 0.0
     C_h = C if C > 0.0 else 0.0
-    feedback = (1.0 - p.xi * _hill(C_h, p.R_C, p.beta)
-                - p.psi * _hill(C_h, p.R_C, p.delta))
+    c_beta = _hill(C_h, p.R_C, p.beta)
+    feedback = 1.0 - p.xi * c_beta - p.psi * _hill(C_h, p.R_C, p.delta)
     if p.clamp_production and feedback < 0.0:
         feedback = 0.0
     dR = ((p.k1 + D * p.k2)
@@ -222,7 +224,7 @@ def _rhs(t: float, R: float, A: float, C: float, p: ParameterSet,
           * feedback
           - p.h1 * R)
     dA = ((p.k3 * _hill(D, p.R_D, p.gamma) + p.k4 * R)
-          * (1.0 - p.rho * _hill(C_h, p.R_C, p.beta))
+          * (1.0 - p.rho * c_beta)
           - p.h2 * A)
     dC = p.k5 * A - p.h3 * C
     return (dR, dA, dC)

@@ -13,8 +13,8 @@ the central differences (Bock's internal numerical differentiation). Each
 step size (``rel_step``, and ``rel_step / 2`` for the stability check) is one
 task for ``map_ordered``; the split does not depend on the worker count, so
 reports are identical for any ``HPA_DYN_THREADS``. Zero-valued parameters,
-whose relative SI is undefined, and parameters whose SI series has zero
-variance, whose correlation is undefined, are reported in ``skipped``.
+whose relative SI is undefined, and parameters whose SI series is constant
+up to rounding, whose correlation is undefined, are reported in ``skipped``.
 """
 
 from __future__ import annotations
@@ -29,6 +29,10 @@ from .model import PARAMETER_NAMES, ParameterSet
 from .parallel import map_ordered
 
 DEFAULT_REL_STEP = 1e-3
+# a series whose spread is at most this fraction of its largest magnitude
+# is constant up to rounding (SI(k5) of the feedback-free model spreads
+# about 1e-11 around 1)
+_CONSTANT_SPREAD = 1e-9
 
 
 @dataclass(frozen=True)
@@ -116,6 +120,11 @@ def _si_batch(args):
     return _si(cortisol[0::2], cortisol[1::2], rel_step, baseline)
 
 
+def _is_constant(series) -> bool:
+    """True when the series is constant up to rounding, all zeros included."""
+    return bool(np.ptp(series) <= _CONSTANT_SPREAD * np.max(np.abs(series)))
+
+
 def correlation_matrix(si_series: dict[str, np.ndarray]) -> np.ndarray:
     """Pearson correlation of the SI time series, symmetric with unit diagonal."""
     names = list(si_series)
@@ -123,8 +132,8 @@ def correlation_matrix(si_series: dict[str, np.ndarray]) -> np.ndarray:
     if data.shape[1] < 3:
         raise SensitivityError("series must have length >= 3")
     for name, row in zip(names, data):
-        if np.ptp(row) == 0.0:
-            raise SensitivityError(f"series for {name} has zero variance")
+        if _is_constant(row):
+            raise SensitivityError(f"series for {name} is constant")
     corr = np.corrcoef(data)
     corr = np.clip((corr + corr.T) / 2.0, -1.0, 1.0)
     np.fill_diagonal(corr, 1.0)
@@ -162,8 +171,8 @@ def rank_parameters(p: ParameterSet, grid=None,
     unstable = []
     for i, name in enumerate(names):
         series = results[0][i]
-        if np.ptp(series) == 0.0:
-            skipped.append((name, "SI series has zero variance"))
+        if _is_constant(series):
+            skipped.append((name, "SI series is constant"))
             continue
         si_series[name] = series
         agg = float(np.mean(np.abs(series)))

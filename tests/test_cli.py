@@ -134,8 +134,9 @@ class TestSensitivity:
             assert float(row[1 + i]) == 1.0
 
     def test_rows_only_for_ranked_parameters(self, tmp_path):
-        # feedback-free: the four zero coefficients and the five constants
-        # acting only through them have no usable SI series
+        # feedback-free: the four zero coefficients, the five constants
+        # acting only through them and k5 (SI exactly 1) have no usable SI
+        # series
         cfg = write_cfg(tmp_path, "integrate.burn_in_min = 1440\n"
                         "sens.grid_dt_min = 120\n"
                         "model.phi = 0\nmodel.psi = 0\nmodel.xi = 0\nmodel.rho = 0\n")
@@ -143,12 +144,12 @@ class TestSensitivity:
         assert run("sensitivity", "--config", str(cfg), "--out", str(out)) == EXIT_OK
         rows = read_rows(out / "sensitivity.csv")
         names = {r[0] for r in rows[1:]}
-        assert len(rows) == 1 + 10
+        assert len(rows) == 1 + 9
         assert not names & {"phi", "psi", "xi", "rho", "R_C", "R_A", "alpha",
-                            "beta", "delta"}
-        assert sorted(int(r[2]) for r in rows[1:]) == list(range(1, 11))
+                            "beta", "delta", "k5"}
+        assert sorted(int(r[2]) for r in rows[1:]) == list(range(1, 10))
         corr = read_rows(out / "correlation.csv")
-        assert len(corr) == 1 + 10 and len(corr[0]) == 1 + 10
+        assert len(corr) == 1 + 9 and len(corr[0]) == 1 + 9
 
 
 class TestExitCodes:
@@ -166,6 +167,14 @@ class TestExitCodes:
         cfg = write_cfg(tmp_path, "integrate.abs_tol = 1e-300\n"
                         "integrate.rel_tol = 1e-300\n"
                         "integrate.burn_in_min = 0\n")
+        assert run("simulate", "--config", str(cfg),
+                   "--out", str(tmp_path / "o")) == EXIT_NUMERICAL
+
+    @pytest.mark.parametrize("text", ["integrate.burn_in_min = 1e15\n",
+                                      "integrate.output_dt_min = 1e-9\n",
+                                      "integrate.mode = fixed\nintegrate.dt_min = 1e-9\n"])
+    def test_unbounded_work_refused(self, tmp_path, text):
+        cfg = write_cfg(tmp_path, text)
         assert run("simulate", "--config", str(cfg),
                    "--out", str(tmp_path / "o")) == EXIT_NUMERICAL
 

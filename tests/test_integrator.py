@@ -146,6 +146,14 @@ class TestIntegrate:
         with pytest.raises(IntegrationError):
             integrate(cfg, params, output_times=[0.0, 150.0])
 
+    def test_empty_output_times_rejected(self, params):
+        # used to return one row labelled t0 holding the state at t_end
+        cfg = IntegrationConfig(t_end=600, burn_in=0)
+        with pytest.raises(IntegrationError, match="empty"):
+            integrate(cfg, params, output_times=[])
+        with pytest.raises(IntegrationError, match="empty"):
+            integrate_batch(cfg, [params, params], output_times=np.array([]))
+
     def test_burn_in_idempotent(self, params, one_day_traj):
         cfg = IntegrationConfig(t0=0, t_end=1440, burn_in=28800)
         doubled = integrate(cfg, params)
@@ -231,6 +239,59 @@ class TestIntegrateBatch:
         cfg = IntegrationConfig(t0=0, t_end=0, burn_in=0, initial_state=s0)
         trajs = integrate_batch(cfg, [params, params.with_values(k1=1.0)])
         assert [traj.final_state() for traj in trajs] == [s0, s0]
+
+
+class TestStepBudget:
+    """Every integration is refused, or ends, within integrator._MAX_STEPS
+    steps per march: no input makes it run or allocate without bound."""
+
+    @pytest.mark.parametrize("settings", [
+        {"mode": "fixed", "dt": 1e-4},                  # window
+        {"mode": "fixed", "burn_in": 1e9},              # burn-in
+        {"mode": "fixed", "dt": 1e-320},                # step count overflows
+        {"burn_in": 1e12},                              # adaptive burn-in
+        {"t_end": 1e12},                                # adaptive window
+        {"output_dt": 1e-9},                            # 1.4e12 output points
+    ])
+    def test_refused_before_any_step(self, params, settings, monkeypatch):
+        def no_steps(*args):
+            raise AssertionError("a step was taken")
+
+        monkeypatch.setattr(integrator, "_rk4_step", no_steps)
+        monkeypatch.setattr(integrator, "_ck_step", no_steps)
+        cfg = IntegrationConfig(**{"t_end": 1440.0, **settings})
+        with pytest.raises(IntegrationError, match=str(integrator._MAX_STEPS)):
+            integrate(cfg, params)
+        with pytest.raises(IntegrationError, match=str(integrator._MAX_STEPS)):
+            integrate_batch(cfg, [params, params])
+
+    def test_too_many_output_times_refused(self, params, monkeypatch):
+        monkeypatch.setattr(integrator, "_MAX_STEPS", 10)
+        cfg = IntegrationConfig(t_end=100, burn_in=0)
+        with pytest.raises(IntegrationError, match="output times"):
+            integrate(cfg, params, output_times=np.linspace(0, 100, 11))
+
+    @pytest.mark.parametrize("burn_in, t_end", [(1440.0, 0.0), (0.0, 1440.0)])
+    def test_adaptive_march_stops_at_budget(self, params, monkeypatch, burn_in, t_end):
+        # a day takes about 400 free steps; allow 100
+        monkeypatch.setattr(integrator, "_MAX_STEPS", 100)
+        tried = []
+        original = integrator._ck_step
+
+        def counted(*args):
+            tried.append(None)
+            return original(*args)
+
+        monkeypatch.setattr(integrator, "_ck_step", counted)
+        cfg = IntegrationConfig(burn_in=burn_in, t_end=t_end, output_dt=1440.0)
+        with pytest.raises(IntegrationError, match="more than 100 steps"):
+            integrate(cfg, params)
+        assert len(tried) == 100
+
+    def test_within_budget_unaffected(self, params, monkeypatch):
+        monkeypatch.setattr(integrator, "_MAX_STEPS", 10)
+        cfg = IntegrationConfig(mode="fixed", dt=1.0, t_end=10.0, burn_in=10.0)
+        assert len(integrate(cfg, params).times) == 11
 
 
 class TestSample:

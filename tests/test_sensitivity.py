@@ -99,6 +99,18 @@ class TestCorrelationMatrix:
             correlation_matrix({"ok": np.array([1.0, 2.0, 3.0]),
                                 "flat_one": np.array([5.0, 5.0, 5.0])})
 
+    @pytest.mark.parametrize("flat", [[1.0, 1.0 + 1e-12, 1.0 - 1e-12],
+                                      [0.0, 0.0, 0.0], [-3.0, -3.0, -3.0 + 1e-10]])
+    def test_constant_up_to_rounding_rejected(self, flat):
+        with pytest.raises(SensitivityError, match="near"):
+            correlation_matrix({"ok": np.array([1.0, 2.0, 3.0]),
+                                "near": np.array(flat)})
+
+    def test_small_but_real_variation_kept(self):
+        corr = correlation_matrix({"a": np.array([1.0, 1.0 + 1e-6, 1.0]),
+                                   "b": np.array([2.0, 2.0 + 1e-6, 2.0])})
+        assert corr[0, 1] == pytest.approx(1.0, abs=1e-6)
+
     def test_too_short(self):
         with pytest.raises(SensitivityError):
             correlation_matrix({"a": np.array([1.0, 2.0])})
@@ -153,18 +165,26 @@ class TestRankParameters:
         report = rank_parameters(open_loop, grid=SHORT_GRID, integration=SHORT_CFG)
         reasons = dict(report.skipped)
         zero = {"phi", "psi", "xi", "rho"}
-        # these act only through the switched-off feedback terms
-        flat = {"R_C", "R_A", "alpha", "beta", "delta"}
+        # these act only through the switched-off feedback terms; cortisol
+        # is proportional to k5, so SI(k5) is 1 up to rounding
+        flat = {"R_C", "R_A", "alpha", "beta", "delta", "k5"}
         assert set(reasons) == zero | flat
-        assert all("zero" in reasons[name] and "variance" not in reasons[name]
+        assert all("zero" in reasons[name] and "constant" not in reasons[name]
                    for name in zero)
-        assert all("zero variance" in reasons[name] for name in flat)
+        assert all("constant" in reasons[name] for name in flat)
         ranked = tuple(n for n in PARAMETER_NAMES if n not in reasons)
         assert report.parameter_names == ranked
         assert set(report.ranking) == set(ranked)
         assert report.si_series.keys() == report.si_aggregate.keys() == set(ranked)
         assert report.correlation.shape == (len(ranked), len(ranked))
         assert set(report.fd_unstable) <= set(ranked)
+
+    def test_feedback_free_si_k5_is_constant_up_to_rounding(self, open_loop):
+        # not exactly constant: an exact zero-spread test would rank it
+        si = si_timeseries(open_loop, "k5", grid=SHORT_GRID, integration=SHORT_CFG)
+        assert 0.0 < np.ptp(si) <= 1e-9
+        with pytest.raises(SensitivityError, match="k5"):
+            correlation_matrix({"h3": -si + np.arange(5.0), "k5": si})
 
 
 class TestParallel:
