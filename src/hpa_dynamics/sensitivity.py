@@ -30,8 +30,8 @@ from .parallel import map_ordered
 
 DEFAULT_REL_STEP = 1e-3
 # a series whose spread is at most this fraction of its largest magnitude
-# is constant up to rounding (SI(k5) of the feedback-free model spreads
-# about 1e-11 around 1)
+# is constant up to rounding (SI(k5) of the feedback-free model is 1 with
+# a spread of about 1e-12)
 _CONSTANT_SPREAD = 1e-9
 
 
