@@ -81,12 +81,8 @@ def objective(candidate, prob: FitProblem, obs: ObservationSeries) -> float:
         raise FitError("candidate outside bounds")
     try:
         params = prob.assemble(candidate)
-        cfg = prob.integration
-        t_lo = min(cfg.t0, float(obs.times[0]))
-        t_hi = max(cfg.t_end, float(obs.times[-1]))
-        if (t_lo, t_hi) != (cfg.t0, cfg.t_end):
-            cfg = replace(cfg, t0=t_lo, t_end=t_hi)
-        traj = integrate(cfg, params, output_times=np.unique(obs.times))
+        traj = integrate(prob.integration.covering(obs.times), params,
+                         output_times=np.unique(obs.times))
         score = score_fit(traj, obs)
     except HpaError:
         return PENALTY
@@ -188,6 +184,8 @@ def fit(prob: FitProblem, obs: ObservationSeries, init=None, budget: int = 5000,
     """
     if budget < 1:
         raise FitError(f"budget must be >= 1, got {budget}")
+    if seed < 0:
+        raise FitError(f"seed must be >= 0, got {seed}")
     if n_starts < 1:
         raise FitError(f"n_starts must be >= 1, got {n_starts}")
     if init is None:

@@ -7,20 +7,19 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .calibration import FitProblem, fit as run_fit
-from .errors import (ConfigError, FitError, HpaError, IntegrationError,
+from .errors import (ConfigError, FitError, IntegrationError,
                      MetricError, ModelDomainError, ObservationError,
                      SamplingError, SensitivityError)
-from .integrator import integrate
-from .io import RunConfig, fmt, parse_config, parse_observations, write_csv, write_manifest
+from .integrator import _output_grid, integrate
+from .io import RunConfig, parse_config, parse_observations, write_csv, write_manifest
 from .metrics import score_fit
-from .model import PARAMETER_NAMES, daylight
+from .model import daylight
 from .sensitivity import rank_parameters
 
 EXIT_OK = 0
@@ -34,21 +33,11 @@ _NUMERICAL_ERRORS = (IntegrationError,)
 
 
 def _load_config(args) -> RunConfig:
-    config = parse_config(args.config) if args.config else RunConfig()
-    integ = config.integration
-    if getattr(args, "t_end", None) is not None:
-        integ = replace(integ, t_end=float(args.t_end))
-    fit_settings = config.fit
-    if getattr(args, "seed", None) is not None:
-        fit_settings = replace(fit_settings, seed=args.seed)
-    if getattr(args, "free", None):
-        names = tuple(n.strip() for n in args.free.split(",") if n.strip())
-        bad = [n for n in names if n not in PARAMETER_NAMES]
-        if bad or not names:
-            raise ConfigError(f"--free: invalid parameter list {args.free!r}")
-        fit_settings = replace(fit_settings, free=names)
-    out_dir = args.out if args.out else config.out_dir
-    return replace(config, integration=integ, fit=fit_settings, out_dir=out_dir)
+    flags = (("integrate.t_end_min", "t_end"), ("fit.seed", "seed"),
+             ("fit.free", "free"), ("out.dir", "out"))
+    overrides = [(key, getattr(args, name)) for key, name in flags
+                 if getattr(args, name, None) is not None]
+    return parse_config(args.config, overrides)
 
 
 def _out_dir(config: RunConfig) -> Path:
@@ -79,28 +68,18 @@ def cmd_simulate(args) -> int:
 def cmd_daylight(args) -> int:
     config = _load_config(args)
     out = _out_dir(config)
-    step = config.integration.output_dt
-    n = int(round(1440.0 / step))
-    times = [i * step for i in range(n + 1)]
+    times = _output_grid(0.0, 1440.0, config.integration.output_dt)
     write_csv(out / "daylight.csv", ["t_min", "D"],
               ((t, daylight(t)) for t in times))
     write_manifest(out / "manifest.txt", "daylight", config, __version__)
     return EXIT_OK
 
 
-def _simulate_covering(config: RunConfig, obs):
-    integ = config.integration
-    t0 = min(integ.t0, float(obs.times[0]))
-    t_end = max(integ.t_end, float(obs.times[-1]))
-    integ = replace(integ, t0=t0, t_end=t_end)
-    return integrate(integ, config.params)
-
-
 def cmd_validate(args) -> int:
     config = _load_config(args)
     obs = parse_observations(args.data)
     out = _out_dir(config)
-    traj = _simulate_covering(config, obs)
+    traj = integrate(config.integration.covering(obs.times), config.params)
     score = score_fit(traj, obs)
     _write_scores(out / "scores.csv", score)
     write_manifest(out / "manifest.txt", "validate", config, __version__,
@@ -128,8 +107,7 @@ def cmd_fit(args) -> int:
     rows.append(("converged", 1 if result.converged else 0))
     write_csv(out / "fitted_parameters.csv", ["parameter", "value"], rows)
 
-    fitted_config = replace(config, params=result.fitted)
-    traj = _simulate_covering(fitted_config, obs)
+    traj = integrate(config.integration.covering(obs.times), result.fitted)
     _write_scores(out / "scores.csv", score_fit(traj, obs))
     write_manifest(out / "manifest.txt", "fit", config, __version__,
                    extra={"data": args.data})
@@ -140,7 +118,7 @@ def cmd_sensitivity(args) -> int:
     config = _load_config(args)
     out = _out_dir(config)
     integ = config.integration
-    grid = np.arange(integ.t0, integ.t0 + 1440.0 + 1e-9, config.sens.grid_dt_min)
+    grid = _output_grid(integ.t0, integ.t0 + 1440.0, config.sens.grid_dt_min)
     report = rank_parameters(config.params, grid=grid,
                              rel_step=config.sens.rel_step, integration=integ)
     rank_of = {name: i + 1 for i, name in enumerate(report.ranking)}
@@ -165,13 +143,13 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, data=False, fit_flags=False):
         sp.add_argument("--config", metavar="PATH", help="run config file")
         sp.add_argument("--out", metavar="DIR", help="output directory")
-        sp.add_argument("--t-end", type=float, metavar="MIN",
+        sp.add_argument("--t-end", metavar="MIN",
                         help="simulation end time (minutes)")
         if data:
             sp.add_argument("--data", metavar="PATH", required=True,
                             help="observation CSV (time_min,acth_pg_ml,cortisol_ug_dl)")
         if fit_flags:
-            sp.add_argument("--seed", type=int, metavar="N",
+            sp.add_argument("--seed", metavar="N",
                             help="multi-start RNG seed")
             sp.add_argument("--free", metavar="NAMES",
                             help="comma-separated free parameters")

@@ -8,7 +8,7 @@ integrated and discarded so reported trajectories start on the attractor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import isfinite, sqrt
 
 import numpy as np
@@ -82,6 +82,14 @@ class IntegrationConfig:
             raise IntegrationError(f"output_dt must be > 0, got {self.output_dt}")
         if self.mode not in ("fixed", "adaptive"):
             raise IntegrationError(f"unknown mode {self.mode!r}")
+
+    def covering(self, times) -> "IntegrationConfig":
+        """This config with its window widened to cover every time in ``times``."""
+        t0 = min(self.t0, float(np.min(times)))
+        t_end = max(self.t_end, float(np.max(times)))
+        if (t0, t_end) == (self.t0, self.t_end):
+            return self
+        return replace(self, t0=t0, t_end=t_end)
 
 
 @dataclass(frozen=True)
@@ -343,13 +351,14 @@ def default_initial_state(p: ParameterSet, t: float = 0.0) -> HormoneState:
     return steady_state_open_loop(p.feedback_free(), daylight(t))
 
 
-def _output_grid(t0, t_end, output_dt):
-    n = (t_end - t0) / output_dt + 1e-9
+def _output_grid(t0, t_end, spacing):
+    """Times t0, t0 + spacing, ... up to and including t_end; bounded in length."""
+    n = (t_end - t0) / spacing + 1e-9
     if n > _MAX_STEPS:
         raise IntegrationError(
-            f"output grid of more than {_MAX_STEPS} intervals (output_dt={output_dt})")
+            f"output grid of more than {_MAX_STEPS} intervals (spacing {spacing})")
     n = int(math.floor(n))
-    grid = [t0 + i * output_dt for i in range(n + 1)]
+    grid = [t0 + i * spacing for i in range(n + 1)]
     if grid[-1] < t_end - 1e-9:
         grid.append(t_end)
     return grid

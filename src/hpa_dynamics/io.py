@@ -2,7 +2,7 @@
 
 Config files are line-based ``key = value`` with ``#`` comments and
 namespaced keys (``model.k5``, ``integrate.burn_in_min``, ``fit.free``,
-``sens.rel_step``). Observation files are CSV with the fixed header
+``sens.rel_step``), all listed once in ``SCHEMA``. Observation files are CSV with the fixed header
 ``time_min,acth_pg_ml,cortisol_ug_dl``. All floats are written with 12
 significant digits and ``\\n`` line endings so reruns are byte-identical.
 """
@@ -10,15 +10,15 @@ significant digits and ``\\n`` line endings so reruns are byte-identical.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
 
 from .calibration import DEFAULT_FREE
-from .errors import ConfigError, ObservationError
+from .errors import ConfigError, HpaError, ObservationError
 from .integrator import IntegrationConfig
 from .metrics import ObservationSeries
 from .model import PARAMETER_NAMES, ParameterSet
@@ -60,164 +60,133 @@ def fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return format(value, ".12g")
+    if isinstance(value, tuple):
+        return ",".join(value)
     return str(value)
 
 
-def _parse_float(raw, key, line):
-    try:
-        v = float(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: not a number: {raw!r}", line)
-    if not math.isfinite(v):
-        raise ConfigError(f"{key}: must be finite, got {raw!r}", line)
-    return v
+_DEFAULTS = RunConfig()
 
-
-def _parse_int(raw, key, line):
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: not an integer: {raw!r}", line)
-
-
-def _parse_bool(raw, key, line):
-    low = raw.strip().lower()
-    if low in ("true", "1", "yes"):
-        return True
-    if low in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"{key}: not a boolean: {raw!r}", line)
-
-
-_INTEGRATE_KEYS = {
-    "t0_min": ("t0", _parse_float),
-    "t_end_min": ("t_end", _parse_float),
-    "dt_min": ("dt", _parse_float),
-    "mode": ("mode", None),
-    "abs_tol": ("abs_tol", _parse_float),
-    "rel_tol": ("rel_tol", _parse_float),
-    "burn_in_min": ("burn_in", _parse_float),
-    "output_dt_min": ("output_dt", _parse_float),
+#: Every config key, in manifest order, mapped to (RunConfig section, attribute);
+#: section None is an attribute of RunConfig itself.
+SCHEMA: dict[str, tuple[str | None, str]] = {
+    **{f"model.{n}": ("params", n) for n in (*PARAMETER_NAMES, "clamp_production")},
+    # the integrate.* names carry the unit of each time attribute
+    **{f"integrate.{k}": ("integration", a) for k, a in (
+        ("t0_min", "t0"), ("t_end_min", "t_end"), ("dt_min", "dt"), ("mode", "mode"),
+        ("abs_tol", "abs_tol"), ("rel_tol", "rel_tol"), ("burn_in_min", "burn_in"),
+        ("output_dt_min", "output_dt"))},
+    **{f"fit.{f.name}": ("fit", f.name) for f in fields(FitSettings)},
+    **{f"sens.{f.name}": ("sens", f.name) for f in fields(SensSettings)},
+    "out.dir": (None, "out_dir"),
 }
 
-_FIT_KEYS = {
-    "free": ("free", None),
-    "objective": ("objective", None),
-    "w_acth": ("w_acth", _parse_float),
-    "w_cortisol": ("w_cortisol", _parse_float),
-    "lower_scale": ("lower_scale", _parse_float),
-    "upper_scale": ("upper_scale", _parse_float),
-    "budget": ("budget", _parse_int),
-    "seed": ("seed", _parse_int),
-    "n_starts": ("n_starts", _parse_int),
-}
-
-_SENS_KEYS = {
-    "rel_step": ("rel_step", _parse_float),
-    "grid_dt_min": ("grid_dt_min", _parse_float),
-}
+_CHOICES = {"integrate.mode": ("fixed", "adaptive"),
+            "fit.objective": ("sum_mape", "sum_squares")}
 
 
-def parse_config(path) -> RunConfig:
-    """Read a key = value config file; unspecified keys keep their defaults."""
+def _value(config: RunConfig, key: str):
+    section, attr = SCHEMA[key]
+    return getattr(config if section is None else getattr(config, section), attr)
+
+
+def _parse_value(key, raw, line):
+    """Parse raw text by the type of the key's default value."""
+    default = _value(_DEFAULTS, key)
+    if key in _CHOICES:
+        if raw not in _CHOICES[key]:
+            raise ConfigError(f"{key}: must be {' or '.join(_CHOICES[key])}", line)
+        return raw
+    if isinstance(default, bool):
+        low = raw.lower()
+        if low in ("true", "1", "yes"):
+            return True
+        if low in ("false", "0", "no"):
+            return False
+        raise ConfigError(f"{key}: not a boolean: {raw!r}", line)
+    if isinstance(default, int):
+        try:
+            return int(raw)
+        except ValueError:
+            raise ConfigError(f"{key}: not an integer: {raw!r}", line)
+    if isinstance(default, float):
+        try:
+            v = float(raw)
+        except ValueError:
+            raise ConfigError(f"{key}: not a number: {raw!r}", line)
+        if not math.isfinite(v):
+            raise ConfigError(f"{key}: must be finite, got {raw!r}", line)
+        return v
+    if isinstance(default, tuple):  # parameter names
+        names = tuple(n.strip() for n in raw.split(",") if n.strip())
+        if not names or any(n not in PARAMETER_NAMES for n in names):
+            raise ConfigError(f"{key}: invalid parameter list {raw!r}", line)
+        return names
+    return raw
+
+
+def _read_text(path, kind, error) -> str:
+    """The UTF-8 text of a file; a missing or undecodable file raises ``error``."""
     path = Path(path)
     if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    model_kw: dict = {}
-    integ_kw: dict = {}
-    fit_kw: dict = {}
-    sens_kw: dict = {}
-    out_dir = None
+        raise error(f"{kind} file not found: {path}")
+    try:
+        return path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{kind} file {path} is not UTF-8 text "
+                    f"({exc.reason} at byte {exc.start})")
 
-    for lineno, rawline in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+
+def _config_entries(path):
+    """(key, raw value, line number) of each setting line of a config file."""
+    text = _read_text(path, "config", ConfigError)
+    for lineno, rawline in enumerate(text.splitlines(), 1):
         line = rawline.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ConfigError(f"expected 'key = value', got {rawline!r}", lineno)
-        key, _, raw = line.partition("=")
+        key, eq, raw = line.partition("=")
         key, raw = key.strip(), raw.strip()
-        if not key or not raw:
+        if not (eq and key and raw):
             raise ConfigError(f"expected 'key = value', got {rawline!r}", lineno)
+        if not key.startswith("run."):  # manifest provenance keys are informational
+            yield key, raw, lineno
 
-        if key.startswith("run."):
-            continue  # manifest provenance keys are informational
-        ns, _, sub = key.partition(".")
-        if ns == "model":
-            if sub in PARAMETER_NAMES:
-                model_kw[sub] = _parse_float(raw, key, lineno)
-            elif sub == "clamp_production":
-                model_kw[sub] = _parse_bool(raw, key, lineno)
-            else:
-                raise ConfigError(f"unknown key {key!r}", lineno)
-        elif ns == "integrate" and sub in _INTEGRATE_KEYS:
-            attr, conv = _INTEGRATE_KEYS[sub]
-            if conv is None:  # mode
-                if raw not in ("fixed", "adaptive"):
-                    raise ConfigError(f"{key}: must be fixed or adaptive", lineno)
-                integ_kw[attr] = raw
-            else:
-                integ_kw[attr] = conv(raw, key, lineno)
-        elif ns == "fit" and sub in _FIT_KEYS:
-            attr, conv = _FIT_KEYS[sub]
-            if attr == "free":
-                names = tuple(n.strip() for n in raw.split(",") if n.strip())
-                bad = [n for n in names if n not in PARAMETER_NAMES]
-                if bad or not names:
-                    raise ConfigError(f"{key}: invalid parameter list {raw!r}", lineno)
-                fit_kw[attr] = names
-            elif attr == "objective":
-                if raw not in ("sum_mape", "sum_squares"):
-                    raise ConfigError(
-                        f"{key}: must be sum_mape or sum_squares", lineno)
-                fit_kw[attr] = raw
-            else:
-                fit_kw[attr] = conv(raw, key, lineno)
-        elif ns == "sens" and sub in _SENS_KEYS:
-            attr, conv = _SENS_KEYS[sub]
-            sens_kw[attr] = conv(raw, key, lineno)
-        elif ns == "out" and sub == "dir":
-            out_dir = raw
-        else:
+
+def parse_config(path=None, overrides=()) -> RunConfig:
+    """Read a key = value config file, then apply ``(key, raw value)`` overrides.
+
+    Either may be left out; unspecified keys keep their defaults.
+    """
+    entries = list(_config_entries(path)) if path is not None else []
+    entries += [(key, raw.strip(), None) for key, raw in overrides]
+    updates: dict = {}
+    for key, raw, lineno in entries:
+        if key not in SCHEMA:
             raise ConfigError(f"unknown key {key!r}", lineno)
+        if not raw:
+            raise ConfigError(f"{key}: empty value", lineno)
+        section, attr = SCHEMA[key]
+        updates.setdefault(section, {})[attr] = _parse_value(key, raw, lineno)
 
+    top = updates.pop(None, {})
     try:
-        params = ParameterSet(**model_kw)
-        integration = IntegrationConfig(**integ_kw)
-        fit_settings = FitSettings(**fit_kw)
-        sens_settings = SensSettings(**sens_kw)
-    except Exception as exc:
+        config = replace(_DEFAULTS, **top, **{
+            section: replace(getattr(_DEFAULTS, section), **kw)
+            for section, kw in updates.items()})
+    except HpaError as exc:
         raise ConfigError(str(exc))
-    if fit_settings.budget < 1:
+    if config.fit.budget < 1:
         raise ConfigError("fit.budget must be >= 1")
-    if not (0 < sens_settings.rel_step <= 0.5):
+    if not (0 < config.sens.rel_step <= 0.5):
         raise ConfigError("sens.rel_step must lie in (0, 0.5]")
-    kwargs = {"params": params, "integration": integration,
-              "fit": fit_settings, "sens": sens_settings}
-    if out_dir is not None:
-        kwargs["out_dir"] = out_dir
-    return RunConfig(**kwargs)
+    if not config.sens.grid_dt_min > 0:
+        raise ConfigError("sens.grid_dt_min must be > 0")
+    return config
 
 
 def config_lines(config: RunConfig) -> list[str]:
     """Canonical, fully resolved key = value lines for a RunConfig."""
-    lines = []
-    for name in PARAMETER_NAMES:
-        lines.append(f"model.{name} = {fmt(getattr(config.params, name))}")
-    lines.append(f"model.clamp_production = {fmt(config.params.clamp_production)}")
-    cfg = config.integration
-    for key, (attr, _) in _INTEGRATE_KEYS.items():
-        lines.append(f"integrate.{key} = {fmt(getattr(cfg, attr))}")
-    fs = config.fit
-    lines.append(f"fit.free = {','.join(fs.free)}")
-    lines.append(f"fit.objective = {fs.objective}")
-    for key in ("w_acth", "w_cortisol", "lower_scale", "upper_scale",
-                "budget", "seed", "n_starts"):
-        lines.append(f"fit.{key} = {fmt(getattr(fs, key))}")
-    lines.append(f"sens.rel_step = {fmt(config.sens.rel_step)}")
-    lines.append(f"sens.grid_dt_min = {fmt(config.sens.grid_dt_min)}")
-    lines.append(f"out.dir = {config.out_dir}")
-    return lines
+    return [f"{key} = {fmt(_value(config, key))}" for key in SCHEMA]
 
 
 def parse_observations(path) -> ObservationSeries:
@@ -227,45 +196,45 @@ def parse_observations(path) -> ObservationSeries:
     Row numbers in errors count data rows from 1.
     """
     path = Path(path)
-    if not path.is_file():
-        raise ObservationError(f"observation file not found: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    text = _read_text(path, "observation", ObservationError)
+    try:
+        rows = list(csv.reader(StringIO(text, newline="")))
+    except csv.Error as exc:
+        raise ObservationError(f"unreadable CSV: {exc}")
+    if not rows:
+        raise ObservationError("empty file: missing header")
+    header = rows[0]
+    if [h.strip() for h in header] != OBS_HEADER:
+        raise ObservationError(
+            f"bad header {header!r}; expected {','.join(OBS_HEADER)}")
+    times, acth, cortisol = [], [], []
+    for row_num, row in enumerate(rows[1:], 1):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != 3:
+            raise ObservationError(f"expected 3 columns, got {len(row)}",
+                                   row_num)
+        t_raw, a_raw, c_raw = (cell.strip() for cell in row)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ObservationError("empty file: missing header")
-        if [h.strip() for h in header] != OBS_HEADER:
-            raise ObservationError(
-                f"bad header {header!r}; expected {','.join(OBS_HEADER)}")
-        times, acth, cortisol = [], [], []
-        for row_num, row in enumerate(reader, 1):
-            if not row or all(not cell.strip() for cell in row):
+            t = float(t_raw)
+        except ValueError:
+            raise ObservationError(f"non-numeric time {t_raw!r}", row_num)
+        if not math.isfinite(t):
+            raise ObservationError(f"non-finite time {t_raw!r}", row_num)
+        times.append(t)
+        for raw, dest, label in ((a_raw, acth, "acth_pg_ml"),
+                                 (c_raw, cortisol, "cortisol_ug_dl")):
+            if raw == "":
+                dest.append(None)
                 continue
-            if len(row) != 3:
-                raise ObservationError(f"expected 3 columns, got {len(row)}",
-                                       row_num)
-            t_raw, a_raw, c_raw = (cell.strip() for cell in row)
             try:
-                t = float(t_raw)
+                v = float(raw)
             except ValueError:
-                raise ObservationError(f"non-numeric time {t_raw!r}", row_num)
-            if not math.isfinite(t):
-                raise ObservationError(f"non-finite time {t_raw!r}", row_num)
-            times.append(t)
-            for raw, dest, label in ((a_raw, acth, "acth_pg_ml"),
-                                     (c_raw, cortisol, "cortisol_ug_dl")):
-                if raw == "":
-                    dest.append(None)
-                    continue
-                try:
-                    v = float(raw)
-                except ValueError:
-                    raise ObservationError(f"non-numeric {label} {raw!r}", row_num)
-                if not math.isfinite(v) or v <= 0:
-                    raise ObservationError(
-                        f"nonpositive {label} value {raw}", row_num)
-                dest.append(v)
+                raise ObservationError(f"non-numeric {label} {raw!r}", row_num)
+            if not math.isfinite(v) or v <= 0:
+                raise ObservationError(
+                    f"nonpositive {label} value {raw}", row_num)
+            dest.append(v)
 
     if not times:
         raise ObservationError("no data rows")

@@ -7,13 +7,12 @@ minutes since midnight throughout; the daylight forcing has a 1440-min period.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ModelDomainError
 
-MINUTES_PER_DAY = 1440.0
 _INF = math.inf
 
 #: Canonical ordering of the 19 scalar model parameters (used by the
@@ -95,9 +94,6 @@ class ParameterSet:
 
     def is_feedback_free(self) -> bool:
         return self.phi == self.rho == self.psi == self.xi == 0.0
-
-
-PARAMETER_FIELDS = tuple(f.name for f in fields(ParameterSet))
 
 
 class ParameterBatch:

@@ -131,6 +131,8 @@ class TestFit:
             fit(prob, obs, n_starts=0)
         with pytest.raises(FitError):
             fit(prob, obs, init=np.array([1.0]))
+        with pytest.raises(FitError, match="seed"):
+            fit(prob, obs, seed=-1)
 
     def test_recovers_identifiable_subset(self, params):
         # k4 and k5 are identifiable once the CRH drive (k1, k2) is fixed

@@ -108,11 +108,22 @@ class TestFit:
         assert names == ["k5", "objective_value", "evaluations", "converged"]
         assert (fitdir / "scores.csv").is_file()
 
-    def test_free_override_validated(self, tmp_path):
+    def test_free_override_validated(self, tmp_path, capsys):
         obs = (tmp_path / "obs.csv")
         obs.write_text("time_min,acth_pg_ml,cortisol_ug_dl\n0,1,1\n30,1,1\n")
         assert run("fit", "--data", str(obs), "--out", str(tmp_path / "o"),
                    "--free", "k1,bogus") == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: fit.free: ")
+
+    @pytest.mark.parametrize("flags, text", [(("--seed", "-1"), ""),
+                                             ((), "fit.seed = -1\n")])
+    def test_negative_seed_is_input_error(self, tmp_path, capsys, flags, text):
+        obs = tmp_path / "obs.csv"
+        obs.write_text("time_min,acth_pg_ml,cortisol_ug_dl\n0,1,1\n30,1,1\n")
+        cfg = write_cfg(tmp_path, FAST_CFG + "fit.budget = 1\n" + text)
+        assert run("fit", "--config", str(cfg), "--data", str(obs),
+                   "--out", str(tmp_path / "o"), *flags) == EXIT_INPUT
+        assert "seed must be >= 0" in capsys.readouterr().err
 
 
 class TestSensitivity:
@@ -157,6 +168,17 @@ class TestExitCodes:
         assert run("validate", "--data", str(tmp_path / "absent.csv"),
                    "--out", str(tmp_path / "o")) == EXIT_INPUT
 
+    @pytest.mark.parametrize("argv, key", [
+        (("simulate", "--t-end", "inf"), "integrate.t_end_min"),
+        (("simulate", "--t-end", "soon"), "integrate.t_end_min"),
+        (("fit", "--seed", "1.5"), "fit.seed")])
+    def test_flags_parsed_as_config_keys(self, tmp_path, capsys, argv, key):
+        obs = tmp_path / "obs.csv"
+        obs.write_text("time_min,acth_pg_ml,cortisol_ug_dl\n0,1,1\n30,1,1\n")
+        data = ("--data", str(obs)) if argv[0] == "fit" else ()
+        assert run(*argv, *data, "--out", str(tmp_path / "o")) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"error: {key}: ")
+
     def test_bad_config(self, tmp_path):
         cfg = write_cfg(tmp_path, "model.not_a_param = 1\n")
         assert run("simulate", "--config", str(cfg),
@@ -170,12 +192,19 @@ class TestExitCodes:
         assert run("simulate", "--config", str(cfg),
                    "--out", str(tmp_path / "o")) == EXIT_NUMERICAL
 
-    @pytest.mark.parametrize("text", ["integrate.burn_in_min = 1e15\n",
-                                      "integrate.output_dt_min = 1e-9\n",
-                                      "integrate.mode = fixed\nintegrate.dt_min = 1e-9\n"])
-    def test_unbounded_work_refused(self, tmp_path, text):
+    @pytest.mark.parametrize("command, text", [
+        pytest.param("simulate", text, id=text)
+        for text in ("integrate.burn_in_min = 1e15\n",
+                     "integrate.output_dt_min = 1e-9\n",
+                     "integrate.mode = fixed\nintegrate.dt_min = 1e-9\n")] + [
+        # grids the commands build themselves: refused before allocation
+        pytest.param("daylight", "integrate.output_dt_min = 1e-320\n",
+                     id="daylight-output_dt_min = 1e-320"),
+        pytest.param("sensitivity", "sens.grid_dt_min = 1e-320\n",
+                     id="sensitivity-grid_dt_min = 1e-320")])
+    def test_unbounded_work_refused(self, tmp_path, command, text):
         cfg = write_cfg(tmp_path, text)
-        assert run("simulate", "--config", str(cfg),
+        assert run(command, "--config", str(cfg),
                    "--out", str(tmp_path / "o")) == EXIT_NUMERICAL
 
     def test_version_flag(self, capsys):

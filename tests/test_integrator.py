@@ -122,6 +122,14 @@ class TestIntegrationConfig:
             IntegrationConfig(**{name: value})
 
 
+    def test_covering(self):
+        cfg = IntegrationConfig(t0=60.0, t_end=600.0)
+        assert cfg.covering(np.array([60.0, 300.0, 600.0])) is cfg
+        wide = cfg.covering(np.array([600.0, 30.0, 720.0]))
+        assert (wide.t0, wide.t_end) == (30.0, 720.0)
+        assert wide.burn_in == cfg.burn_in
+
+
 class TestIntegrate:
     def test_default_output_grid(self, params):
         cfg = IntegrationConfig(t0=0, t_end=120, burn_in=0)

@@ -1,12 +1,62 @@
 """Config parsing, observation CSV ingestion and canonical serialization."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hpa_dynamics.errors import ConfigError, ObservationError
-from hpa_dynamics.io import (OBS_HEADER, RunConfig, config_lines, fmt,
+from hpa_dynamics.io import (OBS_HEADER, SCHEMA, RunConfig, config_lines, fmt,
                              parse_config, parse_observations, write_csv,
                              write_manifest)
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# every schema key at a value other than its default
+NON_DEFAULT = """\
+model.k1 = 0.61
+model.k2 = 0.41
+model.k3 = 0.2
+model.k4 = 0.0801
+model.k5 = 0.0045
+model.h1 = 0.17
+model.h2 = 0.03
+model.h3 = 0.011
+model.R_C = 1.1
+model.R_A = 0.8
+model.R_D = 1.25
+model.alpha = 3.5
+model.beta = 2.5
+model.gamma = 2
+model.delta = 4
+model.phi = 0.2
+model.psi = 0.45
+model.xi = 2.1
+model.rho = 0.3
+model.clamp_production = false
+integrate.t0_min = 60
+integrate.t_end_min = 2000
+integrate.dt_min = 0.25
+integrate.mode = fixed
+integrate.abs_tol = 1e-09
+integrate.rel_tol = 1e-07
+integrate.burn_in_min = 2880
+integrate.output_dt_min = 5
+fit.free = k4,k5,h3
+fit.objective = sum_squares
+fit.w_acth = 0.5
+fit.w_cortisol = 2
+fit.lower_scale = 0.2
+fit.upper_scale = 5
+fit.budget = 300
+fit.seed = 9
+fit.n_starts = 2
+sens.rel_step = 0.002
+sens.grid_dt_min = 10
+out.dir = elsewhere
+"""
 
 
 def write(tmp_path, name, text):
@@ -92,10 +142,62 @@ class TestParseConfig:
             parse_config(write(tmp_path, "c.cfg", "model.h3 = -1\n"))
 
     def test_config_lines_round_trip(self, tmp_path):
-        original = parse_config(write(tmp_path, "a.cfg",
-                                      "model.k4 = 0.0801\nfit.seed = 9\n"))
-        dumped = write(tmp_path, "b.cfg", "\n".join(config_lines(original)) + "\n")
+        original = parse_config(write(tmp_path, "a.cfg", NON_DEFAULT))
+        lines = config_lines(original)
+        assert [line.split(" = ")[0] for line in lines] == list(SCHEMA)
+        assert lines == NON_DEFAULT.splitlines()
+        # every key was read: no line of the dump is a default
+        for line, default in zip(lines, config_lines(RunConfig())):
+            assert line != default
+        dumped = write(tmp_path, "b.cfg", "\n".join(lines) + "\n")
         assert parse_config(dumped) == original
+
+    def test_overrides_follow_the_file(self, tmp_path):
+        path = write(tmp_path, "c.cfg", "fit.seed = 3\nout.dir = a\n")
+        cfg = parse_config(path, [("fit.seed", "4"), ("fit.free", "k4, k5")])
+        assert (cfg.fit.seed, cfg.fit.free, cfg.out_dir) == (4, ("k4", "k5"), "a")
+        assert parse_config(None, [("integrate.t_end_min", "60")]).integration.t_end == 60.0
+        with pytest.raises(ConfigError, match="integrate.t_end_min: must be finite"):
+            parse_config(None, [("integrate.t_end_min", "inf")])
+        with pytest.raises(ConfigError, match="out.dir: empty value"):
+            parse_config(None, [("out.dir", "")])
+
+    def test_grid_spacing_must_be_positive(self, tmp_path):
+        for value in ("0", "-10"):
+            with pytest.raises(ConfigError, match="grid_dt_min"):
+                parse_config(write(tmp_path, "c.cfg", f"sens.grid_dt_min = {value}\n"))
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_bytes(b"model.k5 = 0.005\nout.dir = caf\xff\n")
+        with pytest.raises(ConfigError, match="not UTF-8"):
+            parse_config(path)
+
+    def test_every_key_documented(self):
+        text = README.read_text(encoding="utf-8")
+        section = text.split("### Config files", 1)[1].split("\n#", 1)[0]
+        missing = [key for key in SCHEMA if f"`{key}`" not in section]
+        assert not missing, f"README 'Config files' lacks {missing}"
+
+    # a line is a known key with fuzzed value, or fuzzed text
+    _LINES = st.one_of(
+        st.builds("{} = {}".format, st.sampled_from(sorted(SCHEMA)), st.text(max_size=12)),
+        st.text(max_size=30))
+
+    @settings(max_examples=200, deadline=None)
+    @given(content=st.one_of(st.lists(_LINES, max_size=8).map("\n".join),
+                             st.binary(max_size=200)))
+    def test_fuzzed_input_returns_or_raises_config_error(self, content):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fuzz.cfg"
+            if isinstance(content, str):
+                path.write_text(content, encoding="utf-8")
+            else:
+                path.write_bytes(content)
+            try:
+                assert isinstance(parse_config(path), RunConfig)
+            except ConfigError:
+                pass
 
 
 class TestParseObservations:
@@ -154,6 +256,35 @@ class TestParseObservations:
             parse_observations(write(tmp_path, "obs.csv", ""))
         with pytest.raises(ObservationError):
             parse_observations(write(tmp_path, "obs2.csv", self.HEADER))
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        path.write_bytes(self.HEADER.encode() + b"0,10,2\xff\n")
+        with pytest.raises(ObservationError, match="not UTF-8"):
+            parse_observations(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(content=st.one_of(
+        st.lists(st.lists(st.one_of(st.sampled_from(["", "0", "1.5", "-2", "nan", "1e400"]),
+                                    st.text(max_size=6)), max_size=4).map(",".join),
+                 max_size=6).map(lambda rows: "\n".join([",".join(OBS_HEADER), *rows])),
+        st.binary(max_size=200)))
+    def test_fuzzed_input_returns_or_raises_observation_error(self, content):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fuzz.csv"
+            if isinstance(content, str):
+                path.write_text(content, encoding="utf-8")
+            else:
+                path.write_bytes(content)
+            try:
+                parse_observations(path)
+            except ObservationError:
+                pass
+
+    def test_oversized_field(self, tmp_path):
+        path = write(tmp_path, "obs.csv", self.HEADER + "1" * 200_000 + ",10,2\n")
+        with pytest.raises(ObservationError, match="unreadable CSV"):
+            parse_observations(path)
 
     def test_blank_lines_skipped(self, tmp_path):
         path = write(tmp_path, "obs.csv", self.HEADER + "\n0,10,2\n\n")
