@@ -197,10 +197,7 @@ def fit(prob: FitProblem, obs: ObservationSeries, init=None, budget: int = 5000,
         raise FitError("init outside bounds")
 
     rng = np.random.default_rng(seed)
-    starts = [init]
     log_lo, log_hi = np.log(prob.lower), np.log(prob.upper)
-    for _ in range(n_starts - 1):
-        starts.append(np.exp(rng.uniform(log_lo, log_hi)))
 
     total_evals = 0
     best_x, best_f = None, np.inf
@@ -220,10 +217,12 @@ def fit(prob: FitProblem, obs: ObservationSeries, init=None, budget: int = 5000,
             history.append((idx, value))
         return value
 
-    for start in starts:
+    for i in range(n_starts):
         remaining = budget - total_evals
         if remaining <= 0:
             break
+        # each random start is drawn only when it runs
+        start = init if i == 0 else np.exp(rng.uniform(log_lo, log_hi))
         tracked.count = 0
         x, fx, used, converged = _nelder_mead(tracked, start, prob.lower,
                                               prob.upper, remaining)

@@ -46,7 +46,11 @@ def _out_dir(config: RunConfig) -> Path:
     return out
 
 
-def _write_scores(path, score):
+def _write_scores(path, integration, params, obs):
+    """Score ``params`` on the observation times, as ``objective`` does."""
+    traj = integrate(integration.covering(obs.times), params,
+                     output_times=np.unique(obs.times))
+    score = score_fit(traj, obs)
     rows = []
     if score.mape_acth is not None:
         rows.append(("acth", score.mape_acth, score.rmse_acth))
@@ -79,9 +83,7 @@ def cmd_validate(args) -> int:
     config = _load_config(args)
     obs = parse_observations(args.data)
     out = _out_dir(config)
-    traj = integrate(config.integration.covering(obs.times), config.params)
-    score = score_fit(traj, obs)
-    _write_scores(out / "scores.csv", score)
+    _write_scores(out / "scores.csv", config.integration, config.params, obs)
     write_manifest(out / "manifest.txt", "validate", config, __version__,
                    extra={"data": args.data})
     return EXIT_OK
@@ -107,8 +109,7 @@ def cmd_fit(args) -> int:
     rows.append(("converged", 1 if result.converged else 0))
     write_csv(out / "fitted_parameters.csv", ["parameter", "value"], rows)
 
-    traj = integrate(config.integration.covering(obs.times), result.fitted)
-    _write_scores(out / "scores.csv", score_fit(traj, obs))
+    _write_scores(out / "scores.csv", config.integration, result.fitted, obs)
     write_manifest(out / "manifest.txt", "fit", config, __version__,
                    extra={"data": args.data})
     return EXIT_OK

@@ -6,15 +6,14 @@ integrations. Parameters are ranked by the time-average of |SI| over one
 1440-min period after burn-in, and the Pearson correlation matrix of the SI
 time series is reported.
 
-``rank_parameters`` integrates the plus and minus copies of every parameter
-for one finite-difference step as one batch (``integrate_batch``). All
-members of a batch take the same steps, so step-selection noise cancels in
-the central differences (Bock's internal numerical differentiation). Each
-step size (``rel_step``, and ``rel_step / 2`` for the stability check) is one
-task for ``map_ordered``; the split does not depend on the worker count, so
-reports are identical for any ``HPA_DYN_THREADS``. Zero-valued parameters,
-whose relative SI is undefined, and parameters whose SI series is constant
-up to rounding, whose correlation is undefined, are reported in ``skipped``.
+``rank_parameters`` integrates the plus and minus copies of every parameter,
+at the step ``rel_step`` and at ``rel_step / 2`` for the stability check, as
+one shared-step batch (``integrate_batch``), so step-selection noise cancels
+in the central differences (Bock's internal numerical differentiation). The
+batch is one task for ``map_ordered``, which runs it in-process: no report
+starts a process. Zero-valued parameters, whose relative SI is undefined,
+and parameters whose SI series is constant up to rounding, whose
+correlation is undefined, are reported in ``skipped``.
 """
 
 from __future__ import annotations
@@ -111,13 +110,15 @@ def si_timeseries(p: ParameterSet, name: str, grid=None,
 
 
 def _si_batch(args):
-    """SI series of every named parameter, shape (len(names), len(grid)),
-    from one batch of their plus and minus copies."""
-    p, names, grid, rel_step, integration, baseline = args
-    sets = [q for name in names for q in _perturbed(p, name, rel_step)]
+    """SI series of the named parameters, shape (len(names), len(grid)), for
+    each step size, from one step-major batch of all plus and minus copies."""
+    p, names, grid, steps, integration, baseline = args
+    sets = [q for step in steps for name in names for q in _perturbed(p, name, step)]
     trajs = integrate_batch(_window(grid, integration), sets, output_times=grid)
     cortisol = np.array([traj.cortisol for traj in trajs])
-    return _si(cortisol[0::2], cortisol[1::2], rel_step, baseline)
+    cortisol = cortisol.reshape(len(steps), 2 * len(names), len(grid))
+    return [_si(c[0::2], c[1::2], step, baseline)
+            for step, c in zip(steps, cortisol)]
 
 
 def _is_constant(series) -> bool:
@@ -142,12 +143,12 @@ def correlation_matrix(si_series: dict[str, np.ndarray]) -> np.ndarray:
 
 def rank_parameters(p: ParameterSet, grid=None,
                     rel_step: float = DEFAULT_REL_STEP,
-                    integration: IntegrationConfig | None = None,
-                    check_stability: bool = True) -> SensitivityReport:
+                    integration: IntegrationConfig | None = None) -> SensitivityReport:
     """Sensitivity report over the 19 parameters.
 
-    Aggregation is mean |SI(t)| over the grid; ``fd_unstable`` lists
-    parameters whose aggregate moves by more than 1% when the finite
+    One baseline run and one in-process batch of four copies per non-zero
+    parameter. Aggregation is mean |SI(t)| over the grid; ``fd_unstable``
+    lists parameters whose aggregate moves by 1% or more when the finite
     difference step is halved. Zero-valued parameters and parameters with
     a constant SI series are left out of the ranking and the correlation
     and listed in ``skipped``.
@@ -162,25 +163,22 @@ def rank_parameters(p: ParameterSet, grid=None,
     skipped = [(name, "parameter is zero; relative SI undefined")
                for name in PARAMETER_NAMES if getattr(p, name) == 0]
     names = [name for name in PARAMETER_NAMES if getattr(p, name) != 0]
-    steps = (rel_step, rel_step / 2.0) if check_stability else (rel_step,)
-    results = map_ordered(_si_batch, [(p, names, grid, step, integration, baseline)
-                                      for step in steps])
+    [(si, si_halved)] = map_ordered(_si_batch, [
+        (p, names, grid, (rel_step, rel_step / 2.0), integration, baseline)])
 
     si_series: dict[str, np.ndarray] = {}
     si_aggregate: dict[str, float] = {}
     unstable = []
-    for i, name in enumerate(names):
-        series = results[0][i]
+    for name, series, halved in zip(names, si, si_halved):
         if _is_constant(series):
             skipped.append((name, "SI series is constant"))
             continue
         si_series[name] = series
         agg = float(np.mean(np.abs(series)))
         si_aggregate[name] = agg
-        if check_stability:
-            agg_halved = float(np.mean(np.abs(results[1][i])))
-            if abs(agg_halved - agg) / max(agg, 1e-30) >= 0.01:
-                unstable.append(name)
+        agg_halved = float(np.mean(np.abs(halved)))
+        if abs(agg_halved - agg) / max(agg, 1e-30) >= 0.01:
+            unstable.append(name)
 
     ranked = tuple(si_series)
     ranking = tuple(sorted(ranked, key=lambda n: -si_aggregate[n]))

@@ -1,11 +1,17 @@
 """Objective construction and Nelder-Mead parameter estimation."""
 
+import time
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hpa_dynamics import (FitError, FitProblem, IntegrationConfig,
-                          IntegrationError, ParameterSet, integrate, fit,
-                          objective)
+from hpa_dynamics import (FitError, FitProblem, HpaError, IntegrationConfig,
+                          IntegrationError, ObservationSeries, ParameterSet,
+                          integrate, fit, objective)
+from hpa_dynamics import integrator
 from hpa_dynamics.calibration import PENALTY
 from conftest import make_observations
 
@@ -134,6 +140,13 @@ class TestFit:
         with pytest.raises(FitError, match="seed"):
             fit(prob, obs, seed=-1)
 
+    def test_unused_starts_are_never_drawn(self, prob, obs):
+        # one evaluation runs one start; the other starts must cost nothing
+        start = time.perf_counter()
+        result = fit(prob, obs, budget=1, n_starts=10**6)
+        assert time.perf_counter() - start < 0.5
+        assert result.evaluations == 1
+
     def test_recovers_identifiable_subset(self, params):
         # k4 and k5 are identifiable once the CRH drive (k1, k2) is fixed
         truth = params
@@ -145,3 +158,49 @@ class TestFit:
         result = fit(prob, obs, init=init, budget=250, n_starts=1)
         assert result.fitted.k4 == pytest.approx(truth.k4, rel=0.02)
         assert result.fitted.k5 == pytest.approx(truth.k5, rel=0.02)
+
+
+_REFERENCE = ParameterSet()
+_SCALED = ("k1", "k2", "k3", "k4", "k5", "h1", "h2", "h3",
+           "R_C", "R_A", "R_D", "psi", "xi")
+_EXPONENTS = ("alpha", "beta", "gamma", "delta")
+
+
+@st.composite
+def in_domain_parameters(draw):
+    """Rates and constants at 0.1x-10x the reference, exponents in [1, 6],
+    inhibition levels in [0, 1]."""
+    scale = st.floats(min_value=0.1, max_value=10.0)
+    values = {name: getattr(_REFERENCE, name) * draw(scale) for name in _SCALED}
+    values.update({name: draw(st.floats(min_value=1.0, max_value=6.0))
+                   for name in _EXPONENTS})
+    values.update({name: draw(st.floats(min_value=0.0, max_value=1.0))
+                   for name in ("phi", "rho")})
+    return replace(_REFERENCE, **values)
+
+
+class TestInDomainRobustness:
+    """Every in-domain model either integrates or raises a typed error,
+    within a bounded number of steps."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(p=in_domain_parameters(),
+           times=st.lists(st.floats(min_value=0.0, max_value=720.0),
+                          min_size=1, max_size=12, unique=True).map(sorted),
+           values=st.floats(min_value=0.1, max_value=100.0))
+    def test_integrate_and_objective_end_typed(self, p, times, values):
+        cfg = IntegrationConfig(t0=0.0, t_end=times[-1], burn_in=240.0)
+        obs = ObservationSeries(times=np.array(times),
+                                acth=np.full(len(times), values),
+                                cortisol=np.full(len(times), values / 3.0))
+        prob = FitProblem(base=p, free_names=("k4", "k5"), integration=cfg)
+        with mock.patch.object(integrator, "_MAX_STEPS", 20_000):
+            try:
+                traj = integrate(cfg, p, output_times=times)
+            except HpaError:
+                pass
+            else:
+                assert traj.states.shape == (len(times), 3)
+                assert np.isfinite(traj.states).all()
+            value = objective([p.k4, p.k5], prob, obs)
+        assert value == PENALTY or np.isfinite(value)

@@ -4,6 +4,8 @@ import csv
 
 import pytest
 
+from hpa_dynamics import FitProblem, objective
+from hpa_dynamics.io import parse_config, parse_observations
 from hpa_dynamics.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, main
 
 FAST_CFG = (
@@ -90,6 +92,23 @@ class TestValidate:
         for m, r in scores.values():
             assert m == pytest.approx(0.0, abs=1e-6)
             assert r == pytest.approx(0.0, abs=1e-8)
+
+    def test_scores_on_observation_times_like_objective(self, tmp_path):
+        # off-grid times: validate must not interpolate a 1-min grid
+        cfg = write_cfg(tmp_path, FAST_CFG)
+        obs_path = tmp_path / "obs.csv"
+        obs_path.write_text("time_min,acth_pg_ml,cortisol_ug_dl\n"
+                            "7.25,20,9\n130.6,25,12\n"
+                            "401.9,30,14\n719.5,18,8\n", encoding="utf-8")
+        val = tmp_path / "val"
+        assert run("validate", "--config", str(cfg), "--data", str(obs_path),
+                   "--out", str(val)) == EXIT_OK
+        mape_sum = sum(float(r[1]) for r in read_rows(val / "scores.csv")[1:])
+        config = parse_config(cfg)
+        prob = FitProblem(base=config.params, free_names=("k4",),
+                          integration=config.integration)
+        expected = objective([config.params.k4], prob, parse_observations(obs_path))
+        assert mape_sum == pytest.approx(expected, rel=1e-10)
 
 
 class TestFit:

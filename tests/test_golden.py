@@ -38,10 +38,10 @@ GOLDEN_FILES = {
             "manifest.txt": "7ce2c145e06111c7f499a1cc31e193fb1e57bcc7e1d467937e3e534ded8bfb29",
         }),
     "validate": ("", ("validate", "--data", str(DATA)), {
-        "scores.csv": "066315bc528cd9aa48ebf1344359adef55a825bbba7a97f415f4a2c957a345d7",
+        "scores.csv": "a72a2852186bd81312ad82fb8bba68590ac1d61553e4c6751d9a9ec865045afb",
     }),
     "sensitivity": ("integrate.burn_in_min = 1440\nsens.grid_dt_min = 10\n", ("sensitivity",), {
-        "sensitivity.csv": "1672274727a0785bf42b2e9c21ee8ee68af3a92f06da02a5e2402b6b2793da38",
+        "sensitivity.csv": "568569e95de037baf9cf5dfc10570cdfc1889f186ba1d23f711ff74920ecde5a",
     }),
 }
 

@@ -7,6 +7,7 @@ from hpa_dynamics import (ConfigError, IntegrationConfig, ParameterSet,
                           PARAMETER_NAMES, SensitivityError,
                           correlation_matrix, hill, rank_parameters,
                           si_timeseries)
+from hpa_dynamics import parallel, sensitivity
 from hpa_dynamics.parallel import ENV_VAR, worker_count
 
 # frozen daylight plus a long burn-in parks the feedback-free model on its
@@ -145,21 +146,33 @@ class TestRankParameters:
         assert report.skipped == ()
 
     def test_batch_matches_scalar_si(self, params):
-        report = rank_parameters(params, grid=SHORT_GRID, integration=SHORT_CFG,
-                                 check_stability=False)
+        report = rank_parameters(params, grid=SHORT_GRID, integration=SHORT_CFG)
         for name in ("k5", "h3", "R_C", "alpha"):
             scalar = si_timeseries(params, name, grid=SHORT_GRID,
                                    integration=SHORT_CFG)
             assert np.max(np.abs(report.si_series[name] - scalar)) <= 1e-7
 
-    def test_si_series_independent_of_stability_check(self, params):
-        on = rank_parameters(params, grid=SHORT_GRID, integration=SHORT_CFG,
-                             check_stability=True)
-        off = rank_parameters(params, grid=SHORT_GRID, integration=SHORT_CFG,
-                              check_stability=False)
-        assert on.si_series.keys() == off.si_series.keys()
-        for name in on.si_series:
-            assert np.array_equal(on.si_series[name], off.si_series[name])
+    def test_one_batch_per_report(self, params, monkeypatch):
+        # plus and minus copies at both step sizes share one batch, next to
+        # one scalar baseline run
+        batches, scalar_runs = [], []
+        real_batch, real_scalar = sensitivity.integrate_batch, sensitivity.integrate
+
+        def counted_batch(config, sets, output_times=None):
+            batches.append(len(sets))
+            return real_batch(config, sets, output_times=output_times)
+
+        def counted_scalar(*args, **kwargs):
+            scalar_runs.append(1)
+            return real_scalar(*args, **kwargs)
+
+        monkeypatch.setattr(sensitivity, "integrate_batch", counted_batch)
+        monkeypatch.setattr(sensitivity, "integrate", counted_scalar)
+        p = params.with_values(k3=0.0)
+        report = rank_parameters(p, grid=SHORT_GRID, integration=SHORT_CFG)
+        assert batches == [4 * (len(PARAMETER_NAMES) - 1)]
+        assert len(scalar_runs) == 1
+        assert "zero" in dict(report.skipped)["k3"]
 
     def test_feedback_free_skips_undefined_parameters(self, open_loop):
         report = rank_parameters(open_loop, grid=SHORT_GRID, integration=SHORT_CFG)
@@ -203,14 +216,21 @@ class TestParallel:
         grid = np.array([0.0, 30.0, 60.0, 90.0, 120.0])
         cfg = IntegrationConfig(t0=0.0, t_end=120.0, burn_in=1440.0)
         monkeypatch.setenv(ENV_VAR, "1")
-        serial = rank_parameters(params, grid=grid, integration=cfg,
-                                 check_stability=True)
+        serial = rank_parameters(params, grid=grid, integration=cfg)
         monkeypatch.setenv(ENV_VAR, "2")
-        pooled = rank_parameters(params, grid=grid, integration=cfg,
-                                 check_stability=True)
+        pooled = rank_parameters(params, grid=grid, integration=cfg)
         assert serial.ranking == pooled.ranking
         assert serial.si_aggregate == pooled.si_aggregate
         assert serial.fd_unstable == pooled.fd_unstable
         for name in PARAMETER_NAMES:
             assert np.array_equal(serial.si_series[name],
                                   pooled.si_series[name])
+
+    def test_report_starts_no_process(self, params, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sensitivity report started a process pool")
+
+        monkeypatch.setenv(ENV_VAR, "2")
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", refuse)
+        report = rank_parameters(params, grid=SHORT_GRID, integration=SHORT_CFG)
+        assert set(report.ranking) == set(PARAMETER_NAMES)
