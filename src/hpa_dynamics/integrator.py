@@ -1,8 +1,11 @@
 """Time integration of the hormone ODE system.
 
 Two modes: classical fixed-step RK4, and an adaptive embedded Cash-Karp 4(5)
-pair with PI step-size control. Both support a burn-in interval that is
-integrated and discarded so reported trajectories start on the attractor.
+pair with PI step-size control. Both march a burn-in that is discarded so
+reported trajectories start on the 24-h attractor. The burn-in runs a whole
+day (1440 min, the forcing period) at a time and stops as soon as one day
+leaves every component within ``abs_tol + rel_tol * |y|``: that state is a
+point of the attractor, and so the state at ``t0``. ``burn_in`` is the cap.
 """
 
 from __future__ import annotations
@@ -48,6 +51,8 @@ _LAND_TOL = 1e-9
 # output intervals one grid may have: every integration ends within a
 # bounded amount of work and memory
 _MAX_STEPS = 2_000_000
+# period of the daylight forcing: the burn-in's unit of march
+_DAY = 1440.0
 
 
 @dataclass(frozen=True)
@@ -60,7 +65,9 @@ class IntegrationConfig:
     mode: str = "adaptive"          # "fixed" | "adaptive"
     abs_tol: float = 1e-8
     rel_tol: float = 1e-8
-    burn_in: float = 14400.0        # minutes integrated and discarded
+    # most minutes integrated and discarded before t0; the march stops at
+    # the first whole day that changes no component beyond the tolerances
+    burn_in: float = 14400.0
     initial_state: HormoneState | None = None
     output_dt: float = 1.0          # adaptive-mode recording grid
     daylight_const: float | None = None  # freeze forcing (testing/analysis)
@@ -94,11 +101,20 @@ class IntegrationConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled solution: time grid, (n, 3) state array and the parameters used."""
+    """Sampled solution: time grid, (n, 3) state array and the parameters used.
+
+    ``burn_in_days`` is the number of whole days the burn-in marched, and
+    ``burn_in_residual`` the largest change of a component over the last of
+    them, in units of ``abs_tol + rel_tol * |y|``: at most 1 if the burn-in
+    converged, above 1 if it reached its cap first, nan if it ran no whole
+    day. Batch members carry the batch's figures.
+    """
 
     times: np.ndarray
     states: np.ndarray
     params: ParameterSet
+    burn_in_days: int = 0
+    burn_in_residual: float = math.nan
 
     @property
     def crh(self) -> np.ndarray:
@@ -303,7 +319,7 @@ def _control(h, err_norm, err_prev):
 
 
 def _integrate_adaptive(t_start, t_stop, y, p, abs_tol, rel_tol, d_const,
-                        output_times=(), states=None):
+                        output_times=(), states=None, control=None):
     """Adaptive Cash-Karp march of one model or a ``ParameterBatch``.
 
     Writes the state at ``output_times[k]`` to ``states[k]`` and returns the
@@ -312,15 +328,24 @@ def _integrate_adaptive(t_start, t_stop, y, p, abs_tol, rel_tol, d_const,
     exactly one state. A batch takes one step sequence, sized by the worst
     member's error norm. Raises ``IntegrationError`` once more than
     ``_MAX_STEPS`` steps have been tried.
+
+    ``control``, if given, is a list that carries ``[step size, error
+    memory, step tries left]`` from this march into the next (empty before
+    the first): marches run back to back then step as one march would, and
+    share one ``_MAX_STEPS`` budget.
     """
     rhs, error_norm, check_finite = _kernels(p)
     out_idx = _record_due(t_start, y, output_times, 0, states)
     n_out = len(output_times)
     t = t_start
     t_last = t_stop - 1e-12
-    h = min(_MAX_STEP, max(_MIN_STEP, (t_stop - t_start) / 100.0))
-    err_prev = 1e-4
-    budget = _MAX_STEPS
+    if control:
+        h, err_prev, budget = control
+    else:
+        h = min(_MAX_STEP, max(_MIN_STEP, (t_stop - t_start) / 100.0))
+        err_prev = 1e-4
+        budget = _MAX_STEPS
+    h_try = h_free = h   # h_free: the last step size before any cut to land
     while t < t_last:
         budget -= 1
         if budget < 0:
@@ -328,6 +353,7 @@ def _integrate_adaptive(t_start, t_stop, y, p, abs_tol, rel_tol, d_const,
         target = t_stop
         if out_idx < n_out:
             target = min(target, output_times[out_idx])
+        h_free = h
         h_try = min(h, target - t)
         y_new, err = _ck_step(t, y, h_try, p, d_const, rhs)
         check_finite(t + h_try, y_new)
@@ -343,6 +369,9 @@ def _integrate_adaptive(t_start, t_stop, y, p, abs_tol, rel_tol, d_const,
     # t is within 1e-12 of t_stop, and output times lie within _LAND_TOL of it
     for k in range(out_idx, n_out):
         states[k] = y
+    if control is not None:
+        # a last step cut short to land on t_stop hands on the size it was cut from
+        control[:] = (h_free if h_try < h_free else h, err_prev, budget)
     return y
 
 
@@ -364,11 +393,44 @@ def _output_grid(t0, t_end, spacing):
     return grid
 
 
-def _solve(config: IntegrationConfig, p, y, output_times):
-    """Burn-in plus recorded window from state y; returns (times, states).
+def _day_change(y, y_new, abs_tol, rel_tol):
+    """Largest change from y to y_new of any component (of any batch member),
+    in units of ``abs_tol + rel_tol * |y_new|``."""
+    return max(float(np.max(np.abs(b - a) / (abs_tol + rel_tol * np.abs(b))))
+               for a, b in zip(y, y_new))
 
-    ``states`` has shape (time, 3) for one model and (time, 3, member) for
-    a batch.
+
+def _burn_in(config: IntegrationConfig, y, march):
+    """March the burn-in that ends at t0; returns (state at t0, days, residual).
+
+    ``march(t_start, t_stop, y)`` integrates one stretch and returns its
+    final state. The part of ``burn_in`` that is not a whole day goes first,
+    so every day then ends on ``t0 - k * 1440``. After each day the march
+    stops if the day changed no component beyond the tolerances (residual
+    at most 1, see ``_day_change``): the forcing has period 1440, so that
+    day-end state is the state at t0. Otherwise it goes on to the cap.
+    """
+    days, rest = divmod(config.burn_in, _DAY)
+    days = int(days)
+    t = config.t0 - days * _DAY
+    if rest > 0:
+        y = march(config.t0 - config.burn_in, t, y)
+    residual = math.nan
+    for day in range(1, days + 1):
+        t_next = config.t0 - (days - day) * _DAY
+        y_new = march(t, t_next, y)
+        residual = _day_change(y, y_new, config.abs_tol, config.rel_tol)
+        t, y = t_next, y_new
+        if residual <= 1.0:
+            return y, day, residual
+    return y, days, residual
+
+
+def _solve(config: IntegrationConfig, p, y, output_times):
+    """Burn-in plus recorded window from state y.
+
+    Returns (times, states, burn-in days, burn-in residual); ``states`` has
+    shape (time, 3) for one model and (time, 3, member) for a batch.
     """
     # each step spans at most dt (fixed) or _MAX_STEP (adaptive) minutes
     longest = config.dt if config.mode == "fixed" else _MAX_STEP
@@ -378,9 +440,11 @@ def _solve(config: IntegrationConfig, p, y, output_times):
                                    f"{_MAX_STEPS} steps of at most {longest} min")
     d_const = config.daylight_const
     if config.mode == "fixed":
-        if config.burn_in > 0:
-            _, _, y = _integrate_fixed(config.t0 - config.burn_in, config.t0,
-                                       config.dt, y, p, d_const, record=False)
+        def march(t_start, t_stop, y):
+            return _integrate_fixed(t_start, t_stop, config.dt, y, p, d_const,
+                                    record=False)[2]
+
+        y, days, residual = _burn_in(config, y, march)
         times, states, y = _integrate_fixed(config.t0, config.t_end, config.dt,
                                             y, p, d_const, record=True)
         states = np.asarray(states, dtype=float)
@@ -396,26 +460,33 @@ def _solve(config: IntegrationConfig, p, y, output_times):
             if (output_times[0] < config.t0 - _LAND_TOL
                     or output_times[-1] > config.t_end + _LAND_TOL):
                 raise IntegrationError("output times outside [t0, t_end]")
-        if config.burn_in > 0:
-            y = _integrate_adaptive(config.t0 - config.burn_in, config.t0, y, p,
-                                    config.abs_tol, config.rel_tol, d_const)
+        control = []   # the burn-in's days step as one march
+
+        def march(t_start, t_stop, y):
+            return _integrate_adaptive(t_start, t_stop, y, p, config.abs_tol,
+                                       config.rel_tol, d_const, control=control)
+
+        y, days, residual = _burn_in(config, y, march)
         times = output_times
         states = np.empty((len(times),) + np.shape(y))
-        y = _integrate_adaptive(config.t0, config.t_end, y, p, config.abs_tol,
-                                config.rel_tol, d_const, times, states)
-    return np.asarray(times, dtype=float), states
+        _integrate_adaptive(config.t0, config.t_end, y, p, config.abs_tol,
+                            config.rel_tol, d_const, times, states)
+    return np.asarray(times, dtype=float), states, days, residual
 
 
 def integrate(config: IntegrationConfig, p: ParameterSet,
               output_times=None) -> Trajectory:
     """Integrate from t0 - burn_in to t_end and return the post-burn-in part.
 
-    Fixed mode records every RK4 step; adaptive mode records on
-    ``output_times`` (default: every ``output_dt`` minutes, end inclusive).
+    The burn-in marches whole days and stops at the first one that changes
+    no component by more than ``abs_tol + rel_tol * |y|``; ``burn_in`` is its
+    cap, and the returned ``Trajectory`` says how many days it took. Fixed
+    mode records every RK4 step; adaptive mode records on ``output_times``
+    (default: every ``output_dt`` minutes, end inclusive).
     """
     s0 = config.initial_state or default_initial_state(p, config.t0 - config.burn_in)
-    times, states = _solve(config, p, s0.as_tuple(), output_times)
-    return Trajectory(times, states, p)
+    times, states, days, residual = _solve(config, p, s0.as_tuple(), output_times)
+    return Trajectory(times, states, p, days, residual)
 
 
 def integrate_batch(config: IntegrationConfig, param_sets,
@@ -434,10 +505,11 @@ def integrate_batch(config: IntegrationConfig, param_sets,
     y = tuple(np.array(column) for column in zip(*starts))
     # Hill terms at a zero argument divide by zero by design (see _rhs_batch)
     with np.errstate(divide="ignore", over="ignore"):
-        times, states = _solve(config, batch, y, output_times)
+        times, states, days, residual = _solve(config, batch, y, output_times)
     # member views of one (member, time, variable) block, not copies
     by_member = states.transpose(2, 0, 1)
-    return [Trajectory(times, by_member[i], s) for i, s in enumerate(batch.sets)]
+    return [Trajectory(times, by_member[i], s, days, residual)
+            for i, s in enumerate(batch.sets)]
 
 
 def sample(traj: Trajectory, query_times) -> np.ndarray:

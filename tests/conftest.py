@@ -14,7 +14,7 @@ def params():
 
 @pytest.fixture(scope="session")
 def burned_state(params):
-    """State on the periodic attractor at midnight, after a 10-day burn-in."""
+    """State on the periodic attractor at midnight, after the default burn-in."""
     cfg = IntegrationConfig(t0=0.0, t_end=0.0, burn_in=14400.0)
     return integrate(cfg, params).final_state()
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from hpa_dynamics import (FitError, FitProblem, HpaError, IntegrationConfig,
                           IntegrationError, ObservationSeries, ParameterSet,
-                          integrate, fit, objective)
+                          integrate, fit, objective, sample)
 from hpa_dynamics import integrator
 from hpa_dynamics.calibration import PENALTY
 from conftest import make_observations
@@ -158,6 +158,46 @@ class TestFit:
         result = fit(prob, obs, init=init, budget=250, n_starts=1)
         assert result.fitted.k4 == pytest.approx(truth.k4, rel=0.02)
         assert result.fitted.k5 == pytest.approx(truth.k5, rel=0.02)
+
+
+class TestSmallFitContract:
+    """A 50-evaluation fit of k4 and k5 to noisy observations of a perturbed
+    truth: every evaluation is reported, the fit reaches the objective's value
+    at the truth, and the objective is a pure function of its candidate."""
+
+    CFG = IntegrationConfig(t_end=1440.0, burn_in=2880.0)
+
+    @classmethod
+    def problem(cls, seed):
+        rng = np.random.default_rng(seed)
+        base = ParameterSet()
+        f4, f5 = np.exp(0.3 * rng.standard_normal(2))
+        truth = base.with_values(k4=base.k4 * f4, k5=base.k5 * f5)
+        times = np.linspace(0.0, 1440.0, 49)
+        times[1:-1] += rng.uniform(-5.0, 5.0, 47)
+        clean = sample(integrate(cls.CFG, truth), times)
+        noisy = [np.maximum(v * (1.0 + 0.05 * rng.standard_normal(49)), 1e-6)
+                 for v in (clean[:, 1], clean[:, 2])]
+        obs = ObservationSeries(times=times, acth=noisy[0], cortisol=noisy[1])
+        prob = FitProblem(base=base, free_names=("k4", "k5"), integration=cls.CFG)
+        return prob, obs, np.array([truth.k4, truth.k5])
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_reaches_truth_objective_in_budget(self, seed):
+        prob, obs, truth = self.problem(seed)
+        target = objective(truth, prob, obs)
+        seen = []
+        result = fit(prob, obs, budget=50, seed=seed,
+                     on_evaluate=lambda x, v: seen.append((x, v)))
+        assert len(seen) == result.evaluations == 50
+        assert min(v for _, v in seen) <= target
+        assert result.objective_value == min(v for _, v in seen)
+        fitted = np.array([result.fitted.k4, result.fitted.k5])
+        assert np.all(fitted >= prob.lower) and np.all(fitted <= prob.upper)
+        # the same candidate gives the same bits after 50 other evaluations
+        assert objective(truth, prob, obs) == target
+        for x, v in seen[::7]:
+            assert objective(x, prob, obs) == v
 
 
 _REFERENCE = ParameterSet()

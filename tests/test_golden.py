@@ -28,7 +28,7 @@ def digest(data: bytes) -> str:
 # case: (config text, command and its arguments, {output file: digest})
 GOLDEN_FILES = {
     "simulate-adaptive": ("", ("simulate",), {
-        "trajectory.csv": "d18ec4f5761cf30bbeb6c80b508a065dc17d86bae0d456902a3c42d7a67ef202",
+        "trajectory.csv": "5ca9c12778bb1bb6fc0e968fbbbbb0fcebfbb88583c65eb8d3cafe9f577728d3",
         "manifest.txt": "e82e219eff8853e189ddc6db9f094d013c024530bafedac8cd1be213af25e06b",
     }),
     "simulate-fixed": (
@@ -38,7 +38,7 @@ GOLDEN_FILES = {
             "manifest.txt": "7ce2c145e06111c7f499a1cc31e193fb1e57bcc7e1d467937e3e534ded8bfb29",
         }),
     "validate": ("", ("validate", "--data", str(DATA)), {
-        "scores.csv": "a72a2852186bd81312ad82fb8bba68590ac1d61553e4c6751d9a9ec865045afb",
+        "scores.csv": "1fe9606df79969c1af30fff6d0c6b05bfc049d86c32213af9a6d5e316e3cde00",
     }),
     "sensitivity": ("integrate.burn_in_min = 1440\nsens.grid_dt_min = 10\n", ("sensitivity",), {
         "sensitivity.csv": "568569e95de037baf9cf5dfc10570cdfc1889f186ba1d23f711ff74920ecde5a",

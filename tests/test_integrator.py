@@ -1,6 +1,7 @@
 """Integrator correctness: RK4 order, adaptive control, burn-in, sampling."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from hpa_dynamics import (HormoneState, IntegrationConfig, IntegrationError,
 from hpa_dynamics import integrator
 from hpa_dynamics.integrator import _rk4_step, integrate_batch
 from hpa_dynamics.model import _rhs
+
+SLOW = ParameterSet(h3=0.1 * ParameterSet().h3)   # still drifting after 10 days
 
 DECAY = ParameterSet(k1=0, k2=0, k3=0, k4=0, k5=0)
 
@@ -300,6 +303,94 @@ class TestStepBudget:
         monkeypatch.setattr(integrator, "_MAX_STEPS", 10)
         cfg = IntegrationConfig(mode="fixed", dt=1.0, t_end=10.0, burn_in=10.0)
         assert len(integrate(cfg, params).times) == 11
+
+
+def full_march(cfg, p):
+    """``integrate`` with the whole burn-in marched as one stretch and no
+    convergence check: the reference for the day-at-a-time burn-in."""
+    y = default_initial_state(p, cfg.t0 - cfg.burn_in).as_tuple()
+    if cfg.mode == "fixed":
+        y = integrator._integrate_fixed(cfg.t0 - cfg.burn_in, cfg.t0, cfg.dt, y, p,
+                                        cfg.daylight_const, record=False)[2]
+    else:
+        y = integrator._integrate_adaptive(cfg.t0 - cfg.burn_in, cfg.t0, y, p,
+                                           cfg.abs_tol, cfg.rel_tol, cfg.daylight_const)
+    return integrate(replace(cfg, burn_in=0.0, initial_state=HormoneState(*y)), p)
+
+
+def off_by(traj, ref):
+    """Largest state difference, relative to each component's peak."""
+    return np.max(np.abs(traj.states - ref.states) / np.max(np.abs(ref.states), axis=0))
+
+
+class TestConvergedBurnIn:
+    """The burn-in marches whole days, stops once a day changes no component
+    beyond the tolerances, and treats ``burn_in`` as its cap."""
+
+    def test_default_run_stops_early_on_the_attractor(self, params):
+        cfg = IntegrationConfig()
+        traj = integrate(cfg, params)
+        assert 1 <= traj.burn_in_days <= 3
+        assert traj.burn_in_residual <= 1.0
+        assert off_by(traj, full_march(cfg, params)) <= 1e-9
+
+    def test_slow_regime_reaches_the_cap_unconverged(self):
+        traj = integrate(IntegrationConfig(t_end=0.0), SLOW)
+        assert traj.burn_in_days == 10
+        assert traj.burn_in_residual > 1.0
+
+    @pytest.mark.parametrize("burn_in", [2000.0, 4 * 1440.0 + 2000.0])
+    def test_partial_day_burn_in_stays_in_phase(self, params, burn_in):
+        # the 560-min remainder goes first, so the early stop lands on t0 - k*1440
+        traj = integrate(IntegrationConfig(burn_in=burn_in, t_end=600.0,
+                                           output_dt=10.0), params)
+        ref = full_march(IntegrationConfig(burn_in=30 * 1440.0, t_end=600.0,
+                                           output_dt=10.0), params)
+        assert traj.burn_in_days <= 3
+        assert off_by(traj, ref) <= 1e-6
+
+    def test_frozen_daylight_finds_the_fixed_point(self, params):
+        cfg = IntegrationConfig(t_end=0.0, daylight_const=0.5)
+        traj = integrate(cfg, params)
+        assert traj.burn_in_days < 10 and traj.burn_in_residual <= 1.0
+        y = traj.states[-1]
+        assert np.all(np.abs(_rhs(0.0, *y, params, 0.5)) <= 1e-8 * np.abs(y))
+        assert np.max(np.abs(y - full_march(cfg, params).states[-1]) / y) <= 1e-8
+
+    def test_batch_marches_until_every_member_converged(self, params):
+        cfg = IntegrationConfig(t_end=0.0, burn_in=4 * 1440.0)
+        fast, slow = integrate_batch(cfg, [params, SLOW])
+        assert fast.burn_in_days == slow.burn_in_days == 4
+        assert fast.burn_in_residual == slow.burn_in_residual > 1.0
+        alone = integrate(cfg, params)
+        assert alone.burn_in_days < 10
+        assert np.max(np.abs(fast.states - alone.states) / alone.states) <= 1e-9
+        pair = integrate_batch(cfg, [params, params.with_values(k4=0.09)])
+        assert all(t.burn_in_days <= 3 for t in pair)
+
+    def test_fixed_mode_stops_early_bit_identical(self, params):
+        cfg = IntegrationConfig(t_end=60.0, mode="fixed", dt=0.5)
+        traj = integrate(cfg, params)
+        assert traj.burn_in_days < 10 and traj.burn_in_residual <= 1.0
+        assert np.array_equal(traj.states, full_march(cfg, params).states)
+
+    def test_no_whole_day(self, params):
+        traj = integrate(IntegrationConfig(t_end=0.0, burn_in=720.0), params)
+        assert traj.burn_in_days == 0 and math.isnan(traj.burn_in_residual)
+        assert np.array_equal(traj.states,
+                              full_march(IntegrationConfig(t_end=0.0, burn_in=720.0),
+                                         params).states)
+
+    def test_trajectory_defaults(self, params):
+        traj = integrator.Trajectory(np.zeros(1), np.zeros((1, 3)), params)
+        assert traj.burn_in_days == 0 and math.isnan(traj.burn_in_residual)
+
+    def test_one_step_budget_for_the_whole_burn_in(self, params, monkeypatch):
+        # the slow regime tries 1,958 steps over its 10 days, fewer than
+        # 1,000 in any one day: the days share one budget
+        monkeypatch.setattr(integrator, "_MAX_STEPS", 1000)
+        with pytest.raises(IntegrationError, match="more than 1000 steps"):
+            integrate(IntegrationConfig(t_end=0.0), SLOW)
 
 
 class TestSample:
