@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from hpa_dynamics import (FitError, FitProblem, HpaError, IntegrationConfig,
                           IntegrationError, ObservationSeries, ParameterSet,
                           integrate, fit, objective, sample)
-from hpa_dynamics import integrator
+from hpa_dynamics import calibration, integrator
 from hpa_dynamics.calibration import PENALTY
 from conftest import make_observations
 
@@ -198,6 +198,70 @@ class TestSmallFitContract:
         assert objective(truth, prob, obs) == target
         for x, v in seen[::7]:
             assert objective(x, prob, obs) == v
+
+
+def _bowl(x, prob, obs):
+    # log-space bowl with its minimum at 1.7x the base values
+    base = np.array([getattr(prob.base, n) for n in prob.free_names])
+    return float(np.sum(np.log(np.asarray(x) / (1.7 * base)) ** 2))
+
+
+def _bowl_on_plateau(x, prob, obs):
+    # the bowl, with every k4 above twice its base value on a PENALTY plateau
+    return PENALTY if x[0] > 2.0 * prob.base.k4 else _bowl(x, prob, obs)
+
+
+def _plateau(x, prob, obs):
+    return PENALTY
+
+
+class TestBudgetTruncation:
+    """A budget cuts the unbounded search short and changes nothing else:
+    the evaluations, the history and the best candidate are the unbounded
+    run's prefix. A start counts as converged only if its simplex passed the
+    diameter test with budget left, and the fit reports the flag of the last
+    start whose lowest value ties the best one."""
+
+    @staticmethod
+    def run(prob, obs, budget, n_starts):
+        seen = []
+        result = fit(prob, obs, budget=budget, seed=3, n_starts=n_starts,
+                     on_evaluate=lambda x, v: seen.append((x, v)))
+        return result, seen
+
+    @pytest.mark.parametrize("n_starts", [2, 3])
+    @pytest.mark.parametrize("free", [("k4",), ("k4", "k5")])
+    @pytest.mark.parametrize("cheap", [_bowl, _bowl_on_plateau, _plateau])
+    def test_budget_cuts_the_unbounded_run(self, monkeypatch, obs, cheap, free,
+                                           n_starts):
+        monkeypatch.setattr(calibration, "objective", cheap)
+        prob = FitProblem(free_names=free)
+        # ends[k]: evaluations spent by the unbounded run's first k + 1 starts
+        ends = [self.run(prob, obs, 10**6, k)[0].evaluations
+                for k in range(1, n_starts + 1)]
+        full, seen = self.run(prob, obs, 10**6, n_starts)
+        assert full.evaluations == ends[-1] and full.converged
+        for budget in range(1, 121):
+            result, got = self.run(prob, obs, budget, n_starts)
+            n = min(budget, full.evaluations)
+            assert result.evaluations == len(got) == n
+            for (x, v), (x_full, v_full) in zip(got, seen):
+                assert np.array_equal(x, x_full) and v == v_full
+            assert result.history == tuple(h for h in full.history if h[0] <= n)
+            idx, value = result.history[-1]
+            assert result.objective_value == value
+            fitted = [getattr(result.fitted, name) for name in free]
+            assert np.array_equal(fitted, seen[idx - 1][0])
+            converged, best, first = False, np.inf, 0
+            for end in ends:
+                if first >= budget:
+                    break
+                lowest = min(v for _, v in seen[first:min(end, budget)])
+                best = min(best, lowest)
+                if lowest <= best:
+                    converged = end < budget
+                first = end
+            assert result.converged == converged
 
 
 _REFERENCE = ParameterSet()

@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hpa_dynamics import IntegrationConfig, ParameterSet
+from hpa_dynamics import (FitProblem, IntegrationConfig, ObservationSeries,
+                          ParameterSet, fit, integrate)
 from hpa_dynamics.cli import EXIT_OK, main
 from hpa_dynamics.integrator import _rk4_step, integrate_batch
 from hpa_dynamics.model import _rhs
@@ -82,3 +83,24 @@ def test_rk4_step_frozen_daylight_unchanged():
     got = _rk4_step(100.0, (1.5, 20.0, 3.0), 0.5, ParameterSet(), 0.7, _rhs)
     assert [v.hex() for v in got] == [
         "0x1.602514e145b82p+0", "0x1.3bd47da767352p+4", "0x1.83716bc8d8265p+1"]
+
+
+def test_fit_unchanged():
+    # every candidate and value a seeded multi-start fit passes to
+    # on_evaluate, then its result; the first start converges after 112
+    # evaluations and the budget runs out inside the second
+    cfg = IntegrationConfig(t0=0, t_end=360, burn_in=720)
+    times = np.arange(0.0, 361.0, 30.0)
+    truth = ParameterSet(k4=0.095, k5=0.0039)
+    clean = integrate(cfg, truth, output_times=times).states
+    noise = 1.0 + 0.05 * np.random.default_rng(11).standard_normal((2, len(times)))
+    obs = ObservationSeries(times=times, acth=clean[:, 1] * noise[0],
+                            cortisol=clean[:, 2] * noise[1])
+    prob = FitProblem(free_names=("k4", "k5"), integration=cfg)
+    seen = []
+    result = fit(prob, obs, budget=150, seed=4, n_starts=3,
+                 on_evaluate=lambda x, v: seen.append(x.tobytes() + np.float64(v).tobytes()))
+    summary = repr((result.history, result.evaluations, result.converged,
+                    result.fitted.k4, result.fitted.k5, result.objective_value))
+    assert digest(b"".join(seen) + summary.encode()) == (
+        "5edb86b64fa608e5ebea0cab8fe234e01949ddd684901cc920a3f3e7f230ea53")
