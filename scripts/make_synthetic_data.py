@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""Regenerate data/synthetic_observations.csv.
+"""Regenerate data/synthetic_observations.csv and its .meta.txt.
 
 One simulated day of ACTH and cortisol at 30-min cadence, from the reference
-parameters after a 10-day burn-in, with seeded 5% multiplicative Gaussian
-noise. Deterministic: rerunning reproduces the shipped file byte for byte.
+parameters after a burn-in capped at 10 days (it stops at the first day that
+leaves the state unchanged), with seeded 5% multiplicative Gaussian noise.
+Deterministic: rerunning reproduces the shipped files byte for byte.
+``main(out_dir)`` writes them to another directory instead of data/.
 """
 
 import pathlib
@@ -18,8 +20,11 @@ NOISE_FRAC = 0.05
 CADENCE_MIN = 30.0
 
 
-def main():
-    out_dir = pathlib.Path(__file__).resolve().parent.parent / "data"
+DATA_DIR = pathlib.Path(__file__).resolve().parent.parent / "data"
+
+
+def main(out_dir=DATA_DIR):
+    out_dir = pathlib.Path(out_dir)
     params = ParameterSet()
     cfg = IntegrationConfig(t0=0.0, t_end=1440.0, burn_in=14400.0)
     traj = integrate(cfg, params)

@@ -103,17 +103,16 @@ def objective(candidate, prob: FitProblem, obs: ObservationSeries) -> float:
     return float(total)
 
 
-def _nelder_mead(f, x0, lower, upper, max_evals, diam_tol=1e-6):
-    """Box-projected Nelder-Mead. Returns (x, fx, evals, converged)."""
+class _BudgetSpent(Exception):
+    """Raised by ``fit``'s counted objective after the budget's last evaluation."""
+
+
+def _nelder_mead(f, x0, lower, upper, diam_tol=1e-6):
+    """Box-projected Nelder-Mead on f from x0; returns True once the simplex
+    diameter falls below ``diam_tol`` relative to its best vertex. It stops
+    early only when f raises."""
     n = len(x0)
     project = lambda x: np.minimum(np.maximum(x, lower), upper)
-
-    evals = 0
-
-    def ev(x):
-        nonlocal evals
-        evals += 1
-        return f(x)
 
     simplex = [project(np.asarray(x0, dtype=float))]
     for i in range(n):
@@ -121,32 +120,23 @@ def _nelder_mead(f, x0, lower, upper, max_evals, diam_tol=1e-6):
         v = simplex[0].copy()
         v[i] = v[i] + step if v[i] + step <= upper[i] else v[i] - step
         simplex.append(project(v))
-    fvals = []
-    for v in simplex:
-        if evals >= max_evals:
-            break
-        fvals.append(ev(v))
-    simplex = simplex[:len(fvals)]
-    if not fvals:
-        return project(np.asarray(x0, dtype=float)), np.inf, evals, False
+    fvals = [f(v) for v in simplex]
 
-    converged = False
-    while evals < max_evals and len(simplex) == n + 1:
+    while True:
         order = np.argsort(fvals, kind="stable")
         simplex = [simplex[i] for i in order]
         fvals = [fvals[i] for i in order]
         scale = max(float(np.max(np.abs(simplex[0]))), 1e-12)
         diam = max(float(np.max(np.abs(v - simplex[0]))) for v in simplex[1:])
         if diam / scale < diam_tol:
-            converged = True
-            break
+            return True
         centroid = np.mean(simplex[:-1], axis=0)
         worst = simplex[-1]
         xr = project(centroid + (centroid - worst))
-        fr = ev(xr)
-        if fr < fvals[0] and evals < max_evals:
+        fr = f(xr)
+        if fr < fvals[0]:
             xe = project(centroid + 2.0 * (centroid - worst))
-            fe = ev(xe)
+            fe = f(xe)
             if fe < fr:
                 simplex[-1], fvals[-1] = xe, fe
             else:
@@ -158,20 +148,14 @@ def _nelder_mead(f, x0, lower, upper, max_evals, diam_tol=1e-6):
                 xc = project(centroid + 0.5 * (xr - centroid))
             else:
                 xc = project(centroid + 0.5 * (worst - centroid))
-            if evals >= max_evals:
-                break
-            fc = ev(xc)
+            fc = f(xc)
             if fc < min(fr, fvals[-1]):
                 simplex[-1], fvals[-1] = xc, fc
             else:
                 best = simplex[0]
                 for i in range(1, n + 1):
-                    if evals >= max_evals:
-                        break
                     simplex[i] = project(best + 0.5 * (simplex[i] - best))
-                    fvals[i] = ev(simplex[i])
-    i_best = int(np.argmin(fvals))
-    return simplex[i_best], fvals[i_best], evals, converged
+                    fvals[i] = f(simplex[i])
 
 
 def fit(prob: FitProblem, obs: ObservationSeries, init=None, budget: int = 5000,
@@ -180,7 +164,10 @@ def fit(prob: FitProblem, obs: ObservationSeries, init=None, budget: int = 5000,
 
     Starts are the supplied init plus ``n_starts - 1`` log-uniform draws
     within the bounds (seeded). The evaluation budget is shared across
-    starts; identical inputs give identical results.
+    starts and ends the search at its last evaluation; identical inputs give
+    identical results. ``converged`` is that of the last start whose lowest
+    value ties the best: a start converges when its simplex passes the
+    diameter test with budget left.
     """
     if budget < 1:
         raise FitError(f"budget must be >= 1, got {budget}")
@@ -199,39 +186,44 @@ def fit(prob: FitProblem, obs: ObservationSeries, init=None, budget: int = 5000,
     rng = np.random.default_rng(seed)
     log_lo, log_hi = np.log(prob.lower), np.log(prob.upper)
 
-    total_evals = 0
+    evaluations = 0
     best_x, best_f = None, np.inf
-    best_converged = False
+    start_f = np.inf  # lowest value of the running start
     history: list[tuple[int, float]] = []
 
-    def tracked(x):
-        nonlocal best_x, best_f
+    def counted(x):
+        nonlocal evaluations, best_x, best_f, start_f
         value = objective(x, prob, obs)
         if on_evaluate is not None:
             on_evaluate(np.array(x), value)
-        idx = total_evals + tracked.count + 1
-        tracked.count += 1
+        evaluations += 1
+        start_f = min(start_f, value)
         if value < best_f:
             best_f = value
             best_x = np.array(x)
-            history.append((idx, value))
+            history.append((evaluations, value))
+        # ending here, not at a further request, leaves a start whose
+        # simplex would pass the diameter test after this value unconverged
+        if evaluations >= budget:
+            raise _BudgetSpent
         return value
 
+    best_converged = False
     for i in range(n_starts):
-        remaining = budget - total_evals
-        if remaining <= 0:
-            break
         # each random start is drawn only when it runs
         start = init if i == 0 else np.exp(rng.uniform(log_lo, log_hi))
-        tracked.count = 0
-        x, fx, used, converged = _nelder_mead(tracked, start, prob.lower,
-                                              prob.upper, remaining)
-        total_evals += used
-        if fx <= best_f:
+        start_f = np.inf
+        try:
+            converged = _nelder_mead(counted, start, prob.lower, prob.upper)
+        except _BudgetSpent:
+            converged = False
+        if start_f <= best_f:
             best_converged = converged
+        if not converged:   # the budget is spent
+            break
 
     return FitResult(fitted=prob.assemble(best_x),
                      objective_value=float(best_f),
-                     evaluations=total_evals,
+                     evaluations=evaluations,
                      converged=best_converged,
                      history=tuple(history))

@@ -46,10 +46,19 @@ def _out_dir(config: RunConfig) -> Path:
     return out
 
 
+def _warn_unconverged(traj):
+    """One stderr line when the burn-in reached its cap unconverged."""
+    if traj.burn_in_residual > 1.0:
+        print(f"warning: burn-in reached its {traj.burn_in_days}-day cap "
+              f"unconverged (residual {traj.burn_in_residual:.3g} > 1)",
+              file=sys.stderr)
+
+
 def _write_scores(path, integration, params, obs):
     """Score ``params`` on the observation times, as ``objective`` does."""
     traj = integrate(integration.covering(obs.times), params,
                      output_times=np.unique(obs.times))
+    _warn_unconverged(traj)
     score = score_fit(traj, obs)
     rows = []
     if score.mape_acth is not None:
@@ -63,6 +72,7 @@ def cmd_simulate(args) -> int:
     config = _load_config(args)
     out = _out_dir(config)
     traj = integrate(config.integration, config.params)
+    _warn_unconverged(traj)
     write_csv(out / "trajectory.csv", ["t_min", "crh", "acth", "cortisol"],
               zip(traj.times, traj.crh, traj.acth, traj.cortisol))
     write_manifest(out / "manifest.txt", "simulate", config, __version__)

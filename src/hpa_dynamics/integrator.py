@@ -381,16 +381,19 @@ def default_initial_state(p: ParameterSet, t: float = 0.0) -> HormoneState:
 
 
 def _output_grid(t0, t_end, spacing):
-    """Times t0, t0 + spacing, ... up to and including t_end; bounded in length."""
+    """Times t0, t0 + spacing, ... up to and including t_end, at most
+    ``_MAX_STEPS`` intervals (a shorter last one counts), as fixed mode
+    takes at most ``_MAX_STEPS`` steps."""
     n = (t_end - t0) / spacing + 1e-9
-    if n > _MAX_STEPS:
-        raise IntegrationError(
-            f"output grid of more than {_MAX_STEPS} intervals (spacing {spacing})")
-    n = int(math.floor(n))
-    grid = [t0 + i * spacing for i in range(n + 1)]
-    if grid[-1] < t_end - 1e-9:
-        grid.append(t_end)
-    return grid
+    # an inf or nan count fails this test too, before it is floored
+    if n < _MAX_STEPS + 1:
+        grid = [t0 + i * spacing for i in range(int(math.floor(n)) + 1)]
+        if grid[-1] < t_end - 1e-9:
+            grid.append(t_end)
+        if len(grid) <= _MAX_STEPS + 1:
+            return grid
+    raise IntegrationError(
+        f"output grid of more than {_MAX_STEPS} intervals (spacing {spacing})")
 
 
 def _day_change(y, y_new, abs_tol, rel_tol):

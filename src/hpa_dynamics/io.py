@@ -22,6 +22,7 @@ from .errors import ConfigError, HpaError, ObservationError
 from .integrator import IntegrationConfig
 from .metrics import ObservationSeries
 from .model import PARAMETER_NAMES, ParameterSet
+from .sensitivity import DEFAULT_REL_STEP
 
 OBS_HEADER = ["time_min", "acth_pg_ml", "cortisol_ug_dl"]
 
@@ -41,7 +42,7 @@ class FitSettings:
 
 @dataclass(frozen=True)
 class SensSettings:
-    rel_step: float = 1e-3
+    rel_step: float = DEFAULT_REL_STEP
     grid_dt_min: float = 1.0
 
 

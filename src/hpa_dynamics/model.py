@@ -192,11 +192,8 @@ def crh_feedback_factor(C: float, p: ParameterSet) -> float:
     """
     if not (C >= 0):
         raise ModelDomainError(f"cortisol must be >= 0, got {C}")
-    factor = (1.0 - p.xi * _hill(C, p.R_C, p.beta)
-              - p.psi * _hill(C, p.R_C, p.delta))
-    if p.clamp_production and factor < 0.0:
-        return 0.0
-    return factor
+    # dR of a model with unit basal drive and no CRH or ACTH is the factor
+    return _rhs(0.0, 0.0, 0.0, C, replace(p, k1=1.0, k2=0.0), 0.0)[0]
 
 
 def _rhs(t: float, R: float, A: float, C: float, p: ParameterSet,

@@ -58,11 +58,6 @@ def _default_grid():
     return np.arange(0.0, 1441.0, 1.0)
 
 
-def _default_integration():
-    return IntegrationConfig(mode="adaptive", abs_tol=1e-8, rel_tol=1e-8,
-                             burn_in=14400.0)
-
-
 def _window(grid, integration: IntegrationConfig) -> IntegrationConfig:
     return replace(integration, t0=float(grid[0]), t_end=float(grid[-1]))
 
@@ -98,7 +93,7 @@ def si_timeseries(p: ParameterSet, name: str, grid=None,
     if getattr(p, name) == 0:
         raise SensitivityError(f"parameter {name} is zero; relative SI undefined")
     grid = _default_grid() if grid is None else np.asarray(grid, dtype=float)
-    integration = integration or _default_integration()
+    integration = integration or IntegrationConfig()
 
     c0 = _cortisol_on_grid(p, grid, integration)
     if np.any(c0 == 0):
@@ -155,7 +150,7 @@ def rank_parameters(p: ParameterSet, grid=None,
     """
     _check_rel_step(rel_step)
     grid = _default_grid() if grid is None else np.asarray(grid, dtype=float)
-    integration = integration or _default_integration()
+    integration = integration or IntegrationConfig()
     baseline = _cortisol_on_grid(p, grid, integration)
     if np.any(baseline == 0):
         raise SensitivityError("baseline cortisol is zero on the grid")

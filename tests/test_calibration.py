@@ -130,6 +130,19 @@ class TestFit:
             assert np.all(x >= prob.lower - 1e-12)
             assert np.all(x <= prob.upper + 1e-12)
 
+    def test_on_evaluate_error_propagates(self, prob, obs):
+        # only the budget's own stop is caught inside fit
+        seen = []
+
+        def stop_at_third(x, value):
+            seen.append(value)
+            if len(seen) == 3:
+                raise RuntimeError("stop")
+
+        with pytest.raises(RuntimeError, match="stop"):
+            fit(prob, obs, budget=60, n_starts=2, on_evaluate=stop_at_third)
+        assert len(seen) == 3
+
     def test_bad_arguments(self, prob, obs):
         with pytest.raises(FitError):
             fit(prob, obs, budget=0)

@@ -1,13 +1,15 @@
 """End-to-end command-line behavior: outputs, manifests, exit codes."""
 
 import csv
+from pathlib import Path
 
 import pytest
 
-from hpa_dynamics import FitProblem, objective
+from hpa_dynamics import FitProblem, integrator, objective
 from hpa_dynamics.io import parse_config, parse_observations
 from hpa_dynamics.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, main
 
+DATA = str(Path(__file__).resolve().parents[1] / "data" / "synthetic_observations.csv")
 FAST_CFG = (
     "integrate.t_end_min = 720\n"
     "integrate.burn_in_min = 1440\n"
@@ -73,6 +75,16 @@ class TestDaylight:
         assert rows[0] == ["t_min", "D"]
         assert len(rows) == 1 + 1441
         assert float(rows[1][1]) == pytest.approx(0.0306306306306, abs=1e-10)
+
+    @pytest.mark.parametrize("bound, code", [(1440, EXIT_OK), (1439, EXIT_NUMERICAL)])
+    def test_grid_bound(self, tmp_path, monkeypatch, capsys, bound, code):
+        # a day on the default 1-min grid is 1440 intervals
+        monkeypatch.setattr(integrator, "_MAX_STEPS", bound)
+        assert run("daylight", "--out", str(tmp_path / "day")) == code
+        if code == EXIT_OK:
+            assert len(read_rows(tmp_path / "day" / "daylight.csv")) == 1 + 1441
+        else:
+            assert "output grid of more than 1439 intervals" in capsys.readouterr().err
 
 
 class TestValidate:
@@ -180,6 +192,29 @@ class TestSensitivity:
         assert sorted(int(r[2]) for r in rows[1:]) == list(range(1, 10))
         corr = read_rows(out / "correlation.csv")
         assert len(corr) == 1 + 9 and len(corr[0]) == 1 + 9
+
+
+class TestBurnInWarning:
+    """A burn-in that reaches its cap unconverged is named on stderr; the
+    exit code stays 0."""
+
+    SLOW = "model.h3 = 0.00105\n"   # ends its 10-day burn-in at residual 24.5
+    WARNING = "warning: burn-in reached its 10-day cap unconverged (residual 24.5 > 1)\n"
+
+    @pytest.mark.parametrize("command, extra", [
+        ("simulate", ()),
+        ("validate", ("--data", DATA)),
+        ("fit", ("--data", DATA)),
+    ])
+    def test_unconverged_burn_in_warns(self, tmp_path, capsys, command, extra):
+        cfg = write_cfg(tmp_path, self.SLOW + "fit.budget = 1\nfit.n_starts = 1\n")
+        out = tmp_path / "out"
+        assert run(command, "--config", str(cfg), *extra, "--out", str(out)) == EXIT_OK
+        assert capsys.readouterr().err == self.WARNING
+
+    def test_default_run_is_silent(self, tmp_path, capsys):
+        assert run("simulate", "--out", str(tmp_path / "sim")) == EXIT_OK
+        assert capsys.readouterr().err == ""
 
 
 class TestExitCodes:

@@ -304,6 +304,21 @@ class TestStepBudget:
         cfg = IntegrationConfig(mode="fixed", dt=1.0, t_end=10.0, burn_in=10.0)
         assert len(integrate(cfg, params).times) == 11
 
+    def test_output_grid_at_the_bound(self, monkeypatch):
+        # exactly _MAX_STEPS intervals is allowed, as fixed mode allows
+        # _MAX_STEPS steps; a shorter last interval counts as one more
+        monkeypatch.setattr(integrator, "_MAX_STEPS", 10)
+        assert integrator._output_grid(0.0, 10.0, 1.0) == [float(i) for i in range(11)]
+        assert len(integrator._output_grid(0.0, 1.0, 0.1)) == 11
+        assert integrator._output_grid(0.0, 9.5, 1.0)[-3:] == [8.0, 9.0, 9.5]
+
+    @pytest.mark.parametrize("t_end, spacing", [
+        (11.0, 1.0), (1.1, 0.1), (10.5, 1.0), (1e300, 1e-300)])
+    def test_output_grid_past_the_bound(self, monkeypatch, t_end, spacing):
+        monkeypatch.setattr(integrator, "_MAX_STEPS", 10)
+        with pytest.raises(IntegrationError, match="output grid of more than 10 intervals"):
+            integrator._output_grid(0.0, t_end, spacing)
+
 
 def full_march(cfg, p):
     """``integrate`` with the whole burn-in marched as one stretch and no

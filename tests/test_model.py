@@ -151,6 +151,27 @@ class TestCrhFeedbackFactor:
         with pytest.raises(ModelDomainError):
             crh_feedback_factor(-0.1, params)
 
+    @given(C=st.floats(min_value=0.0, max_value=1e300) | st.just(math.inf),
+           xi=st.floats(min_value=0.0, max_value=5.0),
+           psi=st.floats(min_value=0.0, max_value=5.0),
+           R_C=st.floats(min_value=1e-3, max_value=1e3),
+           beta=st.floats(min_value=1.0, max_value=8.0),
+           delta=st.floats(min_value=1.0, max_value=8.0),
+           clamp=st.booleans())
+    def test_matches_clamped_formula(self, C, xi, psi, R_C, beta, delta, clamp):
+        p = ParameterSet(xi=xi, psi=psi, R_C=R_C, beta=beta, delta=delta,
+                         clamp_production=clamp)
+
+        def response(n):
+            # x^n / (K^n + x^n) as 1 / (1 + (K/x)^n), inf-safe in numpy
+            with np.errstate(divide="ignore", over="ignore"):
+                return float(1.0 / (1.0 + (R_C / np.float64(C)) ** n))
+
+        factor = 1.0 - xi * response(beta) - psi * response(delta)
+        expected = max(factor, 0.0) if clamp else factor
+        assert crh_feedback_factor(C, p) == pytest.approx(expected, rel=1e-9,
+                                                          abs=1e-9)
+
 
 class TestRhs:
     def test_pure_decay(self):
