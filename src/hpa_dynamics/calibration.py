@@ -22,6 +22,8 @@ from .model import PARAMETER_NAMES, ParameterSet
 PENALTY = 1e9
 
 DEFAULT_FREE = ("k1", "k2", "k3", "k4", "k5")
+# a start has converged once its simplex is this narrow relative to its best vertex
+_DIAM_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -107,9 +109,9 @@ class _BudgetSpent(Exception):
     """Raised by ``fit``'s counted objective after the budget's last evaluation."""
 
 
-def _nelder_mead(f, x0, lower, upper, diam_tol=1e-6):
+def _nelder_mead(f, x0, lower, upper):
     """Box-projected Nelder-Mead on f from x0; returns True once the simplex
-    diameter falls below ``diam_tol`` relative to its best vertex. It stops
+    diameter falls below ``_DIAM_TOL`` relative to its best vertex. It stops
     early only when f raises."""
     n = len(x0)
     project = lambda x: np.minimum(np.maximum(x, lower), upper)
@@ -128,7 +130,7 @@ def _nelder_mead(f, x0, lower, upper, diam_tol=1e-6):
         fvals = [fvals[i] for i in order]
         scale = max(float(np.max(np.abs(simplex[0]))), 1e-12)
         diam = max(float(np.max(np.abs(v - simplex[0]))) for v in simplex[1:])
-        if diam / scale < diam_tol:
+        if diam / scale < _DIAM_TOL:
             return True
         centroid = np.mean(simplex[:-1], axis=0)
         worst = simplex[-1]

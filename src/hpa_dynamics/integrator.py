@@ -1,11 +1,13 @@
 """Time integration of the hormone ODE system.
 
 Two modes: classical fixed-step RK4, and an adaptive embedded Cash-Karp 4(5)
-pair with PI step-size control. Both march a burn-in that is discarded so
-reported trajectories start on the 24-h attractor. The burn-in runs a whole
-day (1440 min, the forcing period) at a time and stops as soon as one day
-leaves every component within ``abs_tol + rel_tol * |y|``: that state is a
-point of the attractor, and so the state at ``t0``. ``burn_in`` is the cap.
+pair with PI step-size control. One march serves both: it cuts a step short
+to land on each output time, so no recorded state is interpolated. Both
+march a burn-in that is discarded so reported trajectories start on the
+24-h attractor. The burn-in runs a whole day (1440 min, the forcing period)
+at a time and stops as soon as one day leaves every component within
+``abs_tol + rel_tol * |y|``: that state is a point of the attractor, and so
+the state at ``t0``. ``burn_in`` is the cap.
 """
 
 from __future__ import annotations
@@ -223,33 +225,6 @@ def _rk4_step(t, y, dt, p, d_const, rhs):
             C + sixth * (k1C + 2.0 * (k2C + k3C) + k4C))
 
 
-def _integrate_fixed(t_start, t_stop, dt, y, p, d_const, record):
-    """March RK4 from t_start to t_stop; optionally record every step."""
-    rhs, _, check_finite = _kernels(p)
-    times, states = [], []
-    if record:
-        times.append(t_start)
-        states.append(y)
-    t = t_start
-    # steps counted by index to avoid drift in t
-    n_full = int(math.floor((t_stop - t_start) / dt + 1e-9))
-    for i in range(n_full):
-        t = t_start + i * dt
-        y = _rk4_step(t, y, dt, p, d_const, rhs)
-        check_finite(t + dt, y)
-        if record:
-            times.append(t_start + (i + 1) * dt)
-            states.append(y)
-    t = t_start + n_full * dt
-    if t < t_stop - 1e-9:
-        y = _rk4_step(t, y, t_stop - t, p, d_const, rhs)
-        check_finite(t_stop, y)
-        if record:
-            times.append(t_stop)
-            states.append(y)
-    return times, states, y
-
-
 def _ck_step(t, y, h, p, d_const, rhs):
     """One Cash-Karp stage evaluation: returns (y5, error_estimate).
 
@@ -318,15 +293,15 @@ def _control(h, err_norm, err_prev):
     return min(_MAX_STEP, h * factor), err_prev
 
 
-def _integrate_adaptive(t_start, t_stop, y, p, abs_tol, rel_tol, d_const,
-                        output_times=(), states=None, control=None):
-    """Adaptive Cash-Karp march of one model or a ``ParameterBatch``.
+def _march(t_start, t_stop, y, p, config: IntegrationConfig, output_times=(),
+           states=None, control=None):
+    """March one model or a ``ParameterBatch`` from t_start to t_stop.
 
-    Writes the state at ``output_times[k]`` to ``states[k]`` and returns the
-    final state. A step never passes the next output time: it is shortened
-    to land on it, however short that makes it, so each output time gets
-    exactly one state. A batch takes one step sequence, sized by the worst
-    member's error norm. Raises ``IntegrationError`` once more than
+    Fixed mode takes RK4 steps of ``config.dt``, adaptive mode Cash-Karp
+    steps under PI control, sized for a batch by its worst member. In both,
+    a step is cut short, however short, to land on the next output time or
+    on t_stop, so ``states[k]`` gets the state at ``output_times[k]``.
+    Returns the final state; raises ``IntegrationError`` once more than
     ``_MAX_STEPS`` steps have been tried.
 
     ``control``, if given, is a list that carries ``[step size, error
@@ -335,14 +310,18 @@ def _integrate_adaptive(t_start, t_stop, y, p, abs_tol, rel_tol, d_const,
     share one ``_MAX_STEPS`` budget.
     """
     rhs, error_norm, check_finite = _kernels(p)
+    fixed = config.mode == "fixed"
+    abs_tol, rel_tol, d_const = config.abs_tol, config.rel_tol, config.daylight_const
     out_idx = _record_due(t_start, y, output_times, 0, states)
     n_out = len(output_times)
-    t = t_start
+    # fixed steps are counted from the last landing, so t does not drift
+    t, t_base, n_whole = t_start, t_start, 0
     t_last = t_stop - 1e-12
     if control:
         h, err_prev, budget = control
     else:
-        h = min(_MAX_STEP, max(_MIN_STEP, (t_stop - t_start) / 100.0))
+        h = (config.dt if fixed
+             else min(_MAX_STEP, max(_MIN_STEP, (t_stop - t_start) / 100.0)))
         err_prev = 1e-4
         budget = _MAX_STEPS
     h_try = h_free = h   # h_free: the last step size before any cut to land
@@ -355,17 +334,26 @@ def _integrate_adaptive(t_start, t_stop, y, p, abs_tol, rel_tol, d_const,
             target = min(target, output_times[out_idx])
         h_free = h
         h_try = min(h, target - t)
-        y_new, err = _ck_step(t, y, h_try, p, d_const, rhs)
-        check_finite(t + h_try, y_new)
-        err_norm = error_norm(y, y_new, err, abs_tol, rel_tol)
-        if err_norm <= 1.0:
-            t = t + h_try
-            y = y_new
-            out_idx = _record_due(t, y, output_times, out_idx, states)
-        # a landing step shorter than _MIN_STEP must not trip the underflow check
-        h, err_prev = _control(max(h_try, _MIN_STEP), err_norm, err_prev)
-        if h < _MIN_STEP:
-            raise IntegrationError(f"step size underflow at t={t}", t=t)
+        if fixed:
+            y = _rk4_step(t, y, h_try, p, d_const, rhs)
+            if h_try < h:
+                t_base, n_whole = target, 0
+            else:
+                n_whole += 1
+            t = t_base + n_whole * h
+            check_finite(t, y)
+        else:
+            y_new, err = _ck_step(t, y, h_try, p, d_const, rhs)
+            check_finite(t + h_try, y_new)
+            err_norm = error_norm(y, y_new, err, abs_tol, rel_tol)
+            if err_norm <= 1.0:
+                t = t + h_try
+                y = y_new
+            # a landing step shorter than _MIN_STEP must not trip the underflow check
+            h, err_prev = _control(max(h_try, _MIN_STEP), err_norm, err_prev)
+            if h < _MIN_STEP:
+                raise IntegrationError(f"step size underflow at t={t}", t=t)
+        out_idx = _record_due(t, y, output_times, out_idx, states)
     # t is within 1e-12 of t_stop, and output times lie within _LAND_TOL of it
     for k in range(out_idx, n_out):
         states[k] = y
@@ -430,51 +418,42 @@ def _burn_in(config: IntegrationConfig, y, march):
 
 
 def _solve(config: IntegrationConfig, p, y, output_times):
-    """Burn-in plus recorded window from state y.
+    """Burn-in plus recorded window from state y, in either mode.
 
+    The window records on ``output_times``, sorted; by default every ``dt``
+    (fixed mode) or ``output_dt`` (adaptive mode) minutes, end inclusive.
     Returns (times, states, burn-in days, burn-in residual); ``states`` has
     shape (time, 3) for one model and (time, 3, member) for a batch.
     """
+    fixed = config.mode == "fixed"
     # each step spans at most dt (fixed) or _MAX_STEP (adaptive) minutes
-    longest = config.dt if config.mode == "fixed" else _MAX_STEP
+    longest = config.dt if fixed else _MAX_STEP
     for span in (config.burn_in, config.t_end - config.t0):
         if span / longest > _MAX_STEPS:
             raise IntegrationError(f"integrating {span} min takes more than "
                                    f"{_MAX_STEPS} steps of at most {longest} min")
-    d_const = config.daylight_const
-    if config.mode == "fixed":
-        def march(t_start, t_stop, y):
-            return _integrate_fixed(t_start, t_stop, config.dt, y, p, d_const,
-                                    record=False)[2]
-
-        y, days, residual = _burn_in(config, y, march)
-        times, states, y = _integrate_fixed(config.t0, config.t_end, config.dt,
-                                            y, p, d_const, record=True)
-        states = np.asarray(states, dtype=float)
+    if output_times is None:
+        output_times = _output_grid(config.t0, config.t_end,
+                                    config.dt if fixed else config.output_dt)
     else:
-        if output_times is None:
-            output_times = _output_grid(config.t0, config.t_end, config.output_dt)
-        else:
-            output_times = sorted(float(t) for t in output_times)
-            if not output_times:
-                raise IntegrationError("output_times is empty")
-            if len(output_times) > _MAX_STEPS:
-                raise IntegrationError(f"more than {_MAX_STEPS} output times")
-            if (output_times[0] < config.t0 - _LAND_TOL
-                    or output_times[-1] > config.t_end + _LAND_TOL):
-                raise IntegrationError("output times outside [t0, t_end]")
-        control = []   # the burn-in's days step as one march
+        output_times = sorted(float(t) for t in output_times)
+        if not output_times:
+            raise IntegrationError("output_times is empty")
+        if len(output_times) > _MAX_STEPS:
+            raise IntegrationError(f"more than {_MAX_STEPS} output times")
+        # every time, so that a nan cannot hide among sorted finite ones
+        lo, hi = config.t0 - _LAND_TOL, config.t_end + _LAND_TOL
+        if not all(lo <= t <= hi for t in output_times):
+            raise IntegrationError("output times outside [t0, t_end]")
+    control = []   # the burn-in's days step as one march
 
-        def march(t_start, t_stop, y):
-            return _integrate_adaptive(t_start, t_stop, y, p, config.abs_tol,
-                                       config.rel_tol, d_const, control=control)
+    def march(t_start, t_stop, y):
+        return _march(t_start, t_stop, y, p, config, control=control)
 
-        y, days, residual = _burn_in(config, y, march)
-        times = output_times
-        states = np.empty((len(times),) + np.shape(y))
-        _integrate_adaptive(config.t0, config.t_end, y, p, config.abs_tol,
-                            config.rel_tol, d_const, times, states)
-    return np.asarray(times, dtype=float), states, days, residual
+    y, days, residual = _burn_in(config, y, march)
+    states = np.empty((len(output_times),) + np.shape(y))
+    _march(config.t0, config.t_end, y, p, config, output_times, states)
+    return np.asarray(output_times, dtype=float), states, days, residual
 
 
 def integrate(config: IntegrationConfig, p: ParameterSet,
@@ -483,9 +462,10 @@ def integrate(config: IntegrationConfig, p: ParameterSet,
 
     The burn-in marches whole days and stops at the first one that changes
     no component by more than ``abs_tol + rel_tol * |y|``; ``burn_in`` is its
-    cap, and the returned ``Trajectory`` says how many days it took. Fixed
-    mode records every RK4 step; adaptive mode records on ``output_times``
-    (default: every ``output_dt`` minutes, end inclusive).
+    cap, and the returned ``Trajectory`` says how many days it took. Both
+    modes land a step on each of ``output_times`` and record the state
+    there (default: every ``dt`` minutes in fixed mode, every ``output_dt``
+    minutes in adaptive mode, end inclusive).
     """
     s0 = config.initial_state or default_initial_state(p, config.t0 - config.burn_in)
     times, states, days, residual = _solve(config, p, s0.as_tuple(), output_times)

@@ -54,8 +54,17 @@ class SensitivityReport:
     skipped: tuple[tuple[str, str], ...] = ()
 
 
-def _default_grid():
-    return np.arange(0.0, 1441.0, 1.0)
+def _as_grid(grid):
+    """The output grid as an array: one minute apart over a day by default;
+    a given grid must be non-empty and strictly increasing, as its series
+    are reported in its order."""
+    if grid is None:
+        return np.arange(0.0, 1441.0, 1.0)
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size == 0 or not np.all(np.diff(grid) > 0):
+        raise SensitivityError("grid must be a non-empty, strictly increasing "
+                               "sequence of times")
+    return grid
 
 
 def _window(grid, integration: IntegrationConfig) -> IntegrationConfig:
@@ -92,7 +101,7 @@ def si_timeseries(p: ParameterSet, name: str, grid=None,
     _check_rel_step(rel_step)
     if getattr(p, name) == 0:
         raise SensitivityError(f"parameter {name} is zero; relative SI undefined")
-    grid = _default_grid() if grid is None else np.asarray(grid, dtype=float)
+    grid = _as_grid(grid)
     integration = integration or IntegrationConfig()
 
     c0 = _cortisol_on_grid(p, grid, integration)
@@ -149,7 +158,7 @@ def rank_parameters(p: ParameterSet, grid=None,
     and listed in ``skipped``.
     """
     _check_rel_step(rel_step)
-    grid = _default_grid() if grid is None else np.asarray(grid, dtype=float)
+    grid = _as_grid(grid)
     integration = integration or IntegrationConfig()
     baseline = _cortisol_on_grid(p, grid, integration)
     if np.any(baseline == 0):

@@ -304,9 +304,10 @@ class TestInDomainRobustness:
     @given(p=in_domain_parameters(),
            times=st.lists(st.floats(min_value=0.0, max_value=720.0),
                           min_size=1, max_size=12, unique=True).map(sorted),
-           values=st.floats(min_value=0.1, max_value=100.0))
-    def test_integrate_and_objective_end_typed(self, p, times, values):
-        cfg = IntegrationConfig(t0=0.0, t_end=times[-1], burn_in=240.0)
+           values=st.floats(min_value=0.1, max_value=100.0),
+           mode=st.sampled_from(["adaptive", "fixed"]))
+    def test_integrate_and_objective_end_typed(self, p, times, values, mode):
+        cfg = IntegrationConfig(t0=0.0, t_end=times[-1], burn_in=240.0, mode=mode)
         obs = ObservationSeries(times=np.array(times),
                                 acth=np.full(len(times), values),
                                 cortisol=np.full(len(times), values / 3.0))

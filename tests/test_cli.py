@@ -175,6 +175,16 @@ class TestSensitivity:
         for i, row in enumerate(corr[1:]):
             assert float(row[1 + i]) == 1.0
 
+    def test_fixed_mode(self, tmp_path):
+        # used to end in a traceback: fixed mode ignored the grid
+        cfg = write_cfg(tmp_path, "integrate.mode = fixed\nintegrate.dt_min = 1\n"
+                        "integrate.burn_in_min = 1440\nsens.grid_dt_min = 120\n")
+        out = tmp_path / "sens"
+        assert run("sensitivity", "--config", str(cfg), "--out", str(out)) == EXIT_OK
+        rows = read_rows(out / "sensitivity.csv")
+        assert len(rows) == 1 + 19
+        assert sorted(int(r[2]) for r in rows[1:]) == list(range(1, 20))
+
     def test_rows_only_for_ranked_parameters(self, tmp_path):
         # feedback-free: the four zero coefficients, the five constants
         # acting only through them and k5 (SI exactly 1) have no usable SI

@@ -44,6 +44,18 @@ GOLDEN_FILES = {
     "sensitivity": ("integrate.burn_in_min = 1440\nsens.grid_dt_min = 10\n", ("sensitivity",), {
         "sensitivity.csv": "568569e95de037baf9cf5dfc10570cdfc1889f186ba1d23f711ff74920ecde5a",
     }),
+    # fixed-mode steps land on the observation times, which a 4-min step
+    # does not divide, and on every time of the sensitivity grid
+    "validate-fixed": (
+        "integrate.mode = fixed\nintegrate.dt_min = 4\n",
+        ("validate", "--data", str(DATA)), {
+            "scores.csv": "a4ab4eac48b61c35eda51c404275aea4f73efe7dbf6f07dcc1d4df61c1d83863",
+        }),
+    "sensitivity-fixed": (
+        "integrate.mode = fixed\nintegrate.dt_min = 1\nintegrate.burn_in_min = 1440\n"
+        "sens.grid_dt_min = 10\n", ("sensitivity",), {
+            "sensitivity.csv": "d2a7c1e7dcf7ef0832d51b87009c76fe5bedd3e127bb05cab017bcb9227fa2e6",
+        }),
 }
 
 

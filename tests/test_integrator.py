@@ -229,6 +229,88 @@ class TestOutputLanding:
         assert np.allclose(traj.states[0], traj.states[1], rtol=1e-6, atol=0)
 
 
+class TestFixedModeOutputTimes:
+    """Fixed mode records on the output times as adaptive mode does: each
+    RK4 step is cut short to land on the next one."""
+
+    CFG = IntegrationConfig(t_end=60.0, burn_in=1440.0, mode="fixed", dt=0.5)
+
+    def test_returns_exactly_the_given_rows(self, params):
+        times = [45.25, 0.0, 12.3, 60.0, 7.5]
+        traj = integrate(self.CFG, params, output_times=times)
+        assert list(traj.times) == sorted(times)
+        assert traj.states.shape == (len(times), 3)
+
+    @pytest.mark.parametrize("times", LANDING_CASES)
+    def test_one_row_per_output_time(self, params, times):
+        cfg = replace(self.CFG, t_end=10.0, burn_in=0.0)
+        traj = integrate(cfg, params, output_times=times)
+        assert list(traj.times) == sorted(times)
+        assert traj.states.shape == (len(times), 3)
+
+    def test_lattice_rows_equal_the_default_grid(self, params):
+        grid = integrate(self.CFG, params)
+        times = [0.0, 7.5, 30.0, 42.5, 50.3]
+        traj = integrate(self.CFG, params, output_times=times)
+        assert list(traj.times) == times
+        rows = [int(t / self.CFG.dt) for t in times[:4]]
+        assert np.array_equal(traj.states[:4], grid.states[rows])
+
+    def test_off_lattice_row_is_a_landed_step(self, params):
+        # steps of dt up to 12.0, then one of 0.3, as in a run ending at 12.3
+        traj = integrate(self.CFG, params, output_times=[5.0, 12.3])
+        ended = integrate(replace(self.CFG, t_end=12.3), params)
+        assert ended.times[-1] == 12.3
+        assert np.array_equal(traj.states[-1], ended.states[-1])
+
+    def test_batch_members_equal_their_own_runs(self, params):
+        sets = [params, params.with_values(k4=0.09)]
+        times = [0.0, 12.3, 33.3, 60.0]
+        for traj, p in zip(integrate_batch(self.CFG, sets, output_times=times), sets):
+            alone = integrate_batch(self.CFG, [p], output_times=times)[0]
+            assert np.array_equal(traj.times, times)
+            assert np.array_equal(traj.states, alone.states)
+            scalar = integrate(self.CFG, p, output_times=times)
+            assert np.allclose(traj.states, scalar.states, rtol=1e-12, atol=0)
+
+    def test_whole_steps_do_not_drift(self, params, monkeypatch):
+        # whole steps count from the last landing: a day at dt 0.1 steps
+        # from -1440 + i * 0.1, where summing the steps drifts by about 2e-10
+        seen = []
+        original = integrator._rk4_step
+
+        def spy(t, y, dt, *args):
+            seen.append((t, dt))
+            return original(t, y, dt, *args)
+
+        monkeypatch.setattr(integrator, "_rk4_step", spy)
+        integrate(IntegrationConfig(t_end=0.0, burn_in=1440.0, mode="fixed", dt=0.1),
+                  params)
+        whole = [(-1440.0 + i * 0.1, 0.1) for i in range(len(seen) - 1)]
+        assert len(seen) == 14400 and seen[:-1] == whole
+
+    @pytest.mark.parametrize("times", [[], [0.0, 61.0], [-1.0, 30.0]])
+    def test_empty_or_outside_rejected(self, params, times):
+        with pytest.raises(IntegrationError, match="empty|outside"):
+            integrate(self.CFG, params, output_times=times)
+
+    def test_step_tries_counted(self, params, monkeypatch):
+        # ten landings at the half minutes plus the last half step: 11 steps
+        monkeypatch.setattr(integrator, "_MAX_STEPS", 10)
+        cfg = IntegrationConfig(t_end=10.0, burn_in=0.0, mode="fixed", dt=1.0)
+        assert len(integrate(cfg, params).times) == 11
+        with pytest.raises(IntegrationError, match="more than 10 steps"):
+            integrate(cfg, params, output_times=np.arange(0.5, 10.0, 1.0))
+
+
+@pytest.mark.parametrize("mode", ["adaptive", "fixed"])
+def test_nan_output_time_rejected(params, mode):
+    # used to give the nan, and every later time, the state at t_end
+    cfg = IntegrationConfig(t_end=100.0, burn_in=0.0, mode=mode)
+    with pytest.raises(IntegrationError, match="outside"):
+        integrate(cfg, params, output_times=[0.0, math.nan, 10.0])
+
+
 class TestIntegrateBatch:
     @pytest.mark.parametrize("mode", ["adaptive", "fixed"])
     def test_members_match_scalar_integrate(self, params, mode):
@@ -324,12 +406,7 @@ def full_march(cfg, p):
     """``integrate`` with the whole burn-in marched as one stretch and no
     convergence check: the reference for the day-at-a-time burn-in."""
     y = default_initial_state(p, cfg.t0 - cfg.burn_in).as_tuple()
-    if cfg.mode == "fixed":
-        y = integrator._integrate_fixed(cfg.t0 - cfg.burn_in, cfg.t0, cfg.dt, y, p,
-                                        cfg.daylight_const, record=False)[2]
-    else:
-        y = integrator._integrate_adaptive(cfg.t0 - cfg.burn_in, cfg.t0, y, p,
-                                           cfg.abs_tol, cfg.rel_tol, cfg.daylight_const)
+    y = integrator._march(cfg.t0 - cfg.burn_in, cfg.t0, y, p, cfg)
     return integrate(replace(cfg, burn_in=0.0, initial_state=HormoneState(*y)), p)
 
 

@@ -1,5 +1,7 @@
 """Finite-difference sensitivity indices, ranking and SI correlations."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -198,6 +200,44 @@ class TestRankParameters:
         assert 0.0 < np.ptp(si) <= 1e-9
         with pytest.raises(SensitivityError, match="k5"):
             correlation_matrix({"h3": -si + np.arange(5.0), "k5": si})
+
+
+class TestFixedMode:
+    """In fixed mode the perturbed runs land on the grid too, so every SI
+    series has one value per grid time."""
+
+    CFG = IntegrationConfig(t0=0.0, t_end=120.0, burn_in=1440.0, mode="fixed", dt=1.0)
+    GRID = np.linspace(0.0, 120.0, 13)
+
+    def test_si_timeseries_follows_the_grid(self, params):
+        si = si_timeseries(params, "h3", grid=self.GRID, integration=self.CFG)
+        assert si.shape == (len(self.GRID),)
+
+    def test_report_follows_the_grid(self, params):
+        report = rank_parameters(params, grid=self.GRID, integration=self.CFG)
+        assert all(len(series) == len(self.GRID) for series in report.si_series.values())
+        adaptive = rank_parameters(params, grid=self.GRID,
+                                   integration=replace(self.CFG, mode="adaptive"))
+        assert report.ranking == adaptive.ranking
+        for name, agg in adaptive.si_aggregate.items():
+            assert report.si_aggregate[name] == pytest.approx(agg, rel=1e-6)
+
+
+class TestGridOrder:
+    """A grid must be strictly increasing: the report keeps the grid, and a
+    series in another order would not match it."""
+
+    @pytest.mark.parametrize("grid", [[0.0, 60.0, 30.0, 90.0, 120.0],
+                                      [0.0, 30.0, 30.0, 60.0, 120.0], []])
+    def test_si_timeseries_rejects(self, params, grid):
+        with pytest.raises(SensitivityError, match="strictly increasing"):
+            si_timeseries(params, "h3", grid=grid, integration=SHORT_CFG)
+
+    @pytest.mark.parametrize("grid", [[0.0, 60.0, 30.0, 90.0, 120.0],
+                                      [120.0, 90.0, 60.0, 30.0, 0.0], []])
+    def test_rank_parameters_rejects(self, params, grid):
+        with pytest.raises(SensitivityError, match="strictly increasing"):
+            rank_parameters(params, grid=grid, integration=SHORT_CFG)
 
 
 class TestParallel:
