@@ -1,13 +1,16 @@
 """Time integration of the hormone ODE system.
 
 Two modes: classical fixed-step RK4, and an adaptive embedded Cash-Karp 4(5)
-pair with PI step-size control. One march serves both: it cuts a step short
-to land on each output time, so no recorded state is interpolated. Both
-march a burn-in that is discarded so reported trajectories start on the
-24-h attractor. The burn-in runs a whole day (1440 min, the forcing period)
-at a time and stops as soon as one day leaves every component within
-``abs_tol + rel_tol * |y|``: that state is a point of the attractor, and so
-the state at ``t0``. ``burn_in`` is the cap.
+pair with PI step-size control. One march serves both. A fixed march cuts a
+step short to land on each output time. An adaptive march cuts a step only
+to land on the end of its stretch, and records each output time inside a
+step from the step's cubic Hermite interpolant (dense output), so its steps
+are the same whatever the output times. Both march a burn-in that is
+discarded so reported trajectories start on the 24-h attractor. The burn-in
+runs a whole day (1440 min, the forcing period) at a time and stops as soon
+as one day leaves every component within ``abs_tol + rel_tol * |y|``: that
+state is a point of the attractor, and so the state at ``t0``. ``burn_in``
+is the cap.
 """
 
 from __future__ import annotations
@@ -225,14 +228,16 @@ def _rk4_step(t, y, dt, p, d_const, rhs):
             C + sixth * (k1C + 2.0 * (k2C + k3C) + k4C))
 
 
-def _ck_step(t, y, h, p, d_const, rhs):
+def _ck_step(t, y, k1, h, p, d_const, rhs):
     """One Cash-Karp stage evaluation: returns (y5, error_estimate).
 
+    ``k1`` is ``rhs`` at (t, y), which the march keeps: it is the previous
+    step's end derivative, and a retry after a rejected step reuses it.
     Unrolled over the three state components; works unchanged on floats
     and on ``(N,)`` arrays.
     """
     R, A, C = y
-    k1R, k1A, k1C = rhs(t, R, A, C, p, d_const)
+    k1R, k1A, k1C = k1
     ha = h * _A21
     k2R, k2A, k2C = rhs(t + _C2 * h,
                         R + ha * k1R,
@@ -278,6 +283,36 @@ def _record_due(t, y, output_times, out_idx, states):
     return out_idx
 
 
+def _record_dense(t, y, f, h, y_new, f_new, output_times, out_idx, states):
+    """Record the pending output times up to t + h + _LAND_TOL after an
+    accepted step from (t, y) to (t + h, y_new).
+
+    ``f`` and ``f_new`` are the derivatives at the step's ends. A time
+    within _LAND_TOL of t + h gets y_new; an earlier one the cubic Hermite
+    interpolant of the two ends and their derivatives, whose error is
+    O(h^4). Returns the index of the first output time still pending.
+    """
+    t_new = t + h
+    n_out = len(output_times)
+    if out_idx < n_out and output_times[out_idx] < t_new - _LAND_TOL:
+        R, A, C = y
+        dR, dA, dC = y_new[0] - R, y_new[1] - A, y_new[2] - C
+        fR, fA, fC = f
+        gR, gA, gC = f_new
+        while out_idx < n_out and output_times[out_idx] < t_new - _LAND_TOL:
+            theta = (output_times[out_idx] - t) / h
+            rest = 1.0 - theta
+            # weights of y_new - y, h * f and h * f_new
+            a = theta * theta * (3.0 - 2.0 * theta)
+            b = h * theta * rest * rest
+            c = -h * theta * theta * rest
+            states[out_idx] = (R + a * dR + b * fR + c * gR,
+                               A + a * dA + b * fA + c * gA,
+                               C + a * dC + b * fC + c * gC)
+            out_idx += 1
+    return _record_due(t_new, y_new, output_times, out_idx, states)
+
+
 def _control(h, err_norm, err_prev):
     """PI step-size controller after trying a step of size h.
 
@@ -297,12 +332,15 @@ def _march(t_start, t_stop, y, p, config: IntegrationConfig, output_times=(),
            states=None, control=None):
     """March one model or a ``ParameterBatch`` from t_start to t_stop.
 
-    Fixed mode takes RK4 steps of ``config.dt``, adaptive mode Cash-Karp
-    steps under PI control, sized for a batch by its worst member. In both,
-    a step is cut short, however short, to land on the next output time or
-    on t_stop, so ``states[k]`` gets the state at ``output_times[k]``.
-    Returns the final state; raises ``IntegrationError`` once more than
-    ``_MAX_STEPS`` steps have been tried.
+    Fixed mode takes RK4 steps of ``config.dt`` and cuts a step short,
+    however short, to land on the next output time or on t_stop. Adaptive
+    mode takes Cash-Karp steps under PI control, sized for a batch by its
+    worst member, and cuts a step only to land on t_stop: each output time
+    inside an accepted step gets the step's cubic Hermite interpolant (see
+    ``_record_dense``), so the steps do not depend on the output times.
+    ``states[k]`` gets the state at ``output_times[k]``. Returns the final
+    state; raises ``IntegrationError`` once more than ``_MAX_STEPS`` steps
+    have been tried.
 
     ``control``, if given, is a list that carries ``[step size, error
     memory, step tries left]`` from this march into the next (empty before
@@ -324,13 +362,16 @@ def _march(t_start, t_stop, y, p, config: IntegrationConfig, output_times=(),
              else min(_MAX_STEP, max(_MIN_STEP, (t_stop - t_start) / 100.0)))
         err_prev = 1e-4
         budget = _MAX_STEPS
+    # the derivative at (t, y): each Cash-Karp step's first stage, and an
+    # end slope of the interpolant
+    k1 = None if fixed else rhs(t, *y, p, d_const)
     h_try = h_free = h   # h_free: the last step size before any cut to land
     while t < t_last:
         budget -= 1
         if budget < 0:
             raise IntegrationError(f"more than {_MAX_STEPS} steps tried by t={t}", t=t)
         target = t_stop
-        if out_idx < n_out:
+        if fixed and out_idx < n_out:
             target = min(target, output_times[out_idx])
         h_free = h
         h_try = min(h, target - t)
@@ -342,18 +383,22 @@ def _march(t_start, t_stop, y, p, config: IntegrationConfig, output_times=(),
                 n_whole += 1
             t = t_base + n_whole * h
             check_finite(t, y)
+            out_idx = _record_due(t, y, output_times, out_idx, states)
         else:
-            y_new, err = _ck_step(t, y, h_try, p, d_const, rhs)
-            check_finite(t + h_try, y_new)
+            y_new, err = _ck_step(t, y, k1, h_try, p, d_const, rhs)
+            t_new = t + h_try
+            check_finite(t_new, y_new)
             err_norm = error_norm(y, y_new, err, abs_tol, rel_tol)
             if err_norm <= 1.0:
-                t = t + h_try
-                y = y_new
+                k1_new = rhs(t_new, *y_new, p, d_const)
+                if out_idx < n_out:
+                    out_idx = _record_dense(t, y, k1, h_try, y_new, k1_new,
+                                            output_times, out_idx, states)
+                t, y, k1 = t_new, y_new, k1_new
             # a landing step shorter than _MIN_STEP must not trip the underflow check
             h, err_prev = _control(max(h_try, _MIN_STEP), err_norm, err_prev)
             if h < _MIN_STEP:
                 raise IntegrationError(f"step size underflow at t={t}", t=t)
-        out_idx = _record_due(t, y, output_times, out_idx, states)
     # t is within 1e-12 of t_stop, and output times lie within _LAND_TOL of it
     for k in range(out_idx, n_out):
         states[k] = y
@@ -453,6 +498,12 @@ def _solve(config: IntegrationConfig, p, y, output_times):
     y, days, residual = _burn_in(config, y, march)
     states = np.empty((len(output_times),) + np.shape(y))
     _march(config.t0, config.t_end, y, p, config, output_times, states)
+    # an interpolated state also reads the derivative at its step's end,
+    # which no later step checks after the window's last one
+    finite = np.isfinite(states).reshape(len(output_times), -1).all(axis=1)
+    if not finite.all():
+        t = output_times[int(np.argmin(finite))]
+        raise IntegrationError(f"non-finite state at t={t}", t=t)
     return np.asarray(output_times, dtype=float), states, days, residual
 
 
@@ -462,10 +513,13 @@ def integrate(config: IntegrationConfig, p: ParameterSet,
 
     The burn-in marches whole days and stops at the first one that changes
     no component by more than ``abs_tol + rel_tol * |y|``; ``burn_in`` is its
-    cap, and the returned ``Trajectory`` says how many days it took. Both
-    modes land a step on each of ``output_times`` and record the state
-    there (default: every ``dt`` minutes in fixed mode, every ``output_dt``
-    minutes in adaptive mode, end inclusive).
+    cap, and the returned ``Trajectory`` says how many days it took. It
+    records the state at each of ``output_times`` (default: every ``dt``
+    minutes in fixed mode, every ``output_dt`` minutes in adaptive mode,
+    end inclusive). Fixed mode lands a step on each of them. Adaptive mode
+    steps freely and interpolates each within its step by a cubic Hermite
+    polynomial (error O(h^4) in the step size h), so a row does not depend
+    on which other times are asked for.
     """
     s0 = config.initial_state or default_initial_state(p, config.t0 - config.burn_in)
     times, states, days, residual = _solve(config, p, s0.as_tuple(), output_times)

@@ -95,7 +95,14 @@ def _check_rel_step(rel_step):
 def si_timeseries(p: ParameterSet, name: str, grid=None,
                   rel_step: float = DEFAULT_REL_STEP,
                   integration: IntegrationConfig | None = None) -> np.ndarray:
-    """Central-difference SI(t) of cortisol with respect to one parameter."""
+    """Central-difference SI(t) of cortisol with respect to one parameter.
+
+    The plus and minus runs are separate integrations, each with its own
+    adaptive steps, read on the grid by dense output. Their step-size noise
+    does not cancel in the difference: at the reference parameters the
+    series is within 5.5e-6 of its largest magnitude (``k2``, the worst) of
+    ``rank_parameters``'s shared-step series, which is free of that noise.
+    """
     if name not in PARAMETER_NAMES:
         raise SensitivityError(f"unknown parameter {name!r}")
     _check_rel_step(rel_step)

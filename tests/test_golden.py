@@ -29,7 +29,7 @@ def digest(data: bytes) -> str:
 # case: (config text, command and its arguments, {output file: digest})
 GOLDEN_FILES = {
     "simulate-adaptive": ("", ("simulate",), {
-        "trajectory.csv": "5ca9c12778bb1bb6fc0e968fbbbbb0fcebfbb88583c65eb8d3cafe9f577728d3",
+        "trajectory.csv": "e0b167567649a4779f70c97f5b65193865ca603fe6d965fbcf454dec62f9934a",
         "manifest.txt": "e82e219eff8853e189ddc6db9f094d013c024530bafedac8cd1be213af25e06b",
     }),
     "simulate-fixed": (
@@ -39,17 +39,17 @@ GOLDEN_FILES = {
             "manifest.txt": "7ce2c145e06111c7f499a1cc31e193fb1e57bcc7e1d467937e3e534ded8bfb29",
         }),
     "validate": ("", ("validate", "--data", str(DATA)), {
-        "scores.csv": "1fe9606df79969c1af30fff6d0c6b05bfc049d86c32213af9a6d5e316e3cde00",
+        "scores.csv": "bc9c69fe225ce070a40f10bf0c7d96e9a8fb2ea9a8ba3e55da2ef3634bb5b00c",
     }),
     "sensitivity": ("integrate.burn_in_min = 1440\nsens.grid_dt_min = 10\n", ("sensitivity",), {
-        "sensitivity.csv": "568569e95de037baf9cf5dfc10570cdfc1889f186ba1d23f711ff74920ecde5a",
+        "sensitivity.csv": "05d188948322355114ea84faaf933f5272dedeee6990b0974eba34d2f0623ca5",
     }),
     # fixed-mode steps land on the observation times, which a 4-min step
     # does not divide, and on every time of the sensitivity grid
     "validate-fixed": (
         "integrate.mode = fixed\nintegrate.dt_min = 4\n",
         ("validate", "--data", str(DATA)), {
-            "scores.csv": "a4ab4eac48b61c35eda51c404275aea4f73efe7dbf6f07dcc1d4df61c1d83863",
+            "scores.csv": "0ce75383b29c88c60b8dff566b6fa0a74c828ad9df101b093b81def612b933d3",
         }),
     "sensitivity-fixed": (
         "integrate.mode = fixed\nintegrate.dt_min = 1\nintegrate.burn_in_min = 1440\n"
@@ -75,12 +75,19 @@ BATCH_CFG = IntegrationConfig(t0=0, t_end=180, burn_in=720, dt=1.0)
 
 
 @pytest.mark.parametrize("mode, expected", [
-    ("adaptive", "6d5b46224e17fd25b315bc84992d464a983b44406e2f8682be586ef0c8e6b249"),
+    ("adaptive", "638b554bc84ef37e49cc8eae2bc65ee39f5dd3c70c8175f4523c2ef44bc57fe9"),
     ("fixed", "f27d089eb970267c2dd7e9e43a31f4525de9192f0e7e81ac75af332c55018774"),
 ])
 def test_batch_states_unchanged(mode, expected):
     trajs = integrate_batch(replace(BATCH_CFG, mode=mode), BATCH_SETS)
     assert digest(np.stack([t.states for t in trajs]).tobytes()) == expected
+
+
+def test_burned_in_state_unchanged():
+    # the burn-in records nothing, so dense output leaves its steps alone
+    states = integrate(IntegrationConfig(t_end=0.0), ParameterSet()).states
+    assert digest(states.tobytes()) == (
+        "ded4bf51e5ad2e01390516955721cccde90262f4ac86af78089caeeab4ce0519")
 
 
 def test_fixed_batch_members_equal_their_own_runs():
@@ -115,4 +122,4 @@ def test_fit_unchanged():
     summary = repr((result.history, result.evaluations, result.converged,
                     result.fitted.k4, result.fitted.k5, result.objective_value))
     assert digest(b"".join(seen) + summary.encode()) == (
-        "5edb86b64fa608e5ebea0cab8fe234e01949ddd684901cc920a3f3e7f230ea53")
+        "3ff0755135156be40c0cbe7f8914e71840481eef12b9b89517cb0238db3a127b")

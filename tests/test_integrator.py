@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hpa_dynamics import (HormoneState, IntegrationConfig, IntegrationError,
                           ParameterSet, SamplingError, default_initial_state,
@@ -230,8 +231,8 @@ class TestOutputLanding:
 
 
 class TestFixedModeOutputTimes:
-    """Fixed mode records on the output times as adaptive mode does: each
-    RK4 step is cut short to land on the next one."""
+    """Fixed mode records on the output times by landing on them: each RK4
+    step is cut short to land on the next one."""
 
     CFG = IntegrationConfig(t_end=60.0, burn_in=1440.0, mode="fixed", dt=0.5)
 
@@ -301,6 +302,87 @@ class TestFixedModeOutputTimes:
         assert len(integrate(cfg, params).times) == 11
         with pytest.raises(IntegrationError, match="more than 10 steps"):
             integrate(cfg, params, output_times=np.arange(0.5, 10.0, 1.0))
+
+
+class TestDenseOutput:
+    """Adaptive mode steps freely and interpolates each output time within
+    its step, so the steps, and every row, do not depend on the output
+    times."""
+
+    WINDOW = 300.0
+    # up to ten output times on or off the minute grid, some within
+    # _LAND_TOL of another or of the window's ends
+    TIMES = st.lists(
+        st.one_of(st.floats(0.0, WINDOW), st.integers(0, 300).map(float),
+                  st.sampled_from([1e-10, WINDOW - 1e-10, 150.0 + 5e-10])),
+        min_size=1, max_size=10)
+
+    @classmethod
+    def and_every_minute(cls, times):
+        return sorted(times + list(np.arange(0.0, cls.WINDOW + 1.0, 1.0)))
+
+    @staticmethod
+    def rows_at(traj, times):
+        return traj.states[np.searchsorted(traj.times, times)]
+
+    @settings(max_examples=25, deadline=None)
+    @given(times=TIMES)
+    def test_rows_do_not_depend_on_other_times(self, params, burned_state, times):
+        cfg = IntegrationConfig(t_end=self.WINDOW, burn_in=0.0,
+                                initial_state=burned_state)
+        more = self.and_every_minute(times)
+        traj = integrate(cfg, params, output_times=times)
+        assert np.array_equal(traj.states, self.rows_at(integrate(cfg, params, more),
+                                                        traj.times))
+
+    @settings(max_examples=10, deadline=None)
+    @given(times=TIMES)
+    def test_batch_rows_do_not_depend_on_other_times(self, params, burned_state, times):
+        cfg = IntegrationConfig(t_end=self.WINDOW, burn_in=0.0,
+                                initial_state=burned_state)
+        sets = [params, params.with_values(k4=0.09)]
+        more = self.and_every_minute(times)
+        for few, many in zip(integrate_batch(cfg, sets, output_times=times),
+                             integrate_batch(cfg, sets, output_times=more)):
+            assert np.array_equal(few.states, self.rows_at(many, few.times))
+
+    def test_one_day_takes_free_steps(self, params, burned_state, monkeypatch):
+        # landing on every output minute took 1,440 steps
+        accepted = []
+        original = integrator._control
+
+        def counted(h, err_norm, err_prev):
+            accepted.append(err_norm <= 1.0)
+            return original(h, err_norm, err_prev)
+
+        monkeypatch.setattr(integrator, "_control", counted)
+        traj = integrate(IntegrationConfig(burn_in=0.0, initial_state=burned_state),
+                         params)
+        assert len(traj.times) == 1441
+        assert sum(accepted) <= 450
+
+    def test_default_grid_matches_fine_rk4(self, params, burned_state):
+        cfg = IntegrationConfig(burn_in=0.0, initial_state=burned_state)
+        traj = integrate(cfg, params)
+        ref = integrate(replace(cfg, mode="fixed", dt=1.0 / 16.0), params,
+                        output_times=traj.times)
+        assert off_by(traj, ref) <= 5e-8
+
+    def test_non_finite_end_derivative_raises(self, params, monkeypatch):
+        # the derivative at the window's last step end only feeds the
+        # interpolant: a non-finite one must not leak into the rows (the
+        # grid is fine enough to put rows inside the last step)
+        cfg = IntegrationConfig(t_end=60.0, burn_in=0.0, output_dt=1e-3)
+        last = tuple(integrate(cfg, params).states[-1])
+
+        def overflowing(t, R, A, C, p, d_const=None):
+            if (R, A, C) == last:
+                return (math.inf, math.inf, math.inf)
+            return _rhs(t, R, A, C, p, d_const)
+
+        monkeypatch.setattr(integrator, "_rhs", overflowing)
+        with pytest.raises(IntegrationError, match="non-finite state"):
+            integrate(cfg, params)
 
 
 @pytest.mark.parametrize("mode", ["adaptive", "fixed"])

@@ -154,6 +154,14 @@ class TestRankParameters:
                                    integration=SHORT_CFG)
             assert np.max(np.abs(report.si_series[name] - scalar)) <= 1e-7
 
+    def test_separate_runs_close_to_shared_steps(self, params, report):
+        # si_timeseries steps its plus and minus runs apart, so step-size
+        # noise stays in its series: 5.5e-6 of the largest magnitude at worst
+        for name in PARAMETER_NAMES:
+            shared = report.si_series[name]
+            alone = si_timeseries(params, name)
+            assert np.max(np.abs(alone - shared)) <= 1e-5 * np.max(np.abs(shared))
+
     def test_one_batch_per_report(self, params, monkeypatch):
         # plus and minus copies at both step sizes share one batch, next to
         # one scalar baseline run
