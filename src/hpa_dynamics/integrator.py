@@ -1,11 +1,10 @@
 """Time integration of the hormone ODE system.
 
 Two modes: classical fixed-step RK4, and an adaptive embedded Cash-Karp 4(5)
-pair with PI step-size control. One march serves both. A fixed march cuts a
-step short to land on each output time. An adaptive march cuts a step only
+pair with PI step-size control. One march serves both. It cuts a step only
 to land on the end of its stretch, and records each output time inside a
 step from the step's cubic Hermite interpolant (dense output), so its steps
-are the same whatever the output times. Both march a burn-in that is
+are the same whatever the output times. Both modes march a burn-in that is
 discarded so reported trajectories start on the 24-h attractor. The burn-in
 runs a whole day (1440 min, the forcing period) at a time and stops as soon
 as one day leaves every component within ``abs_tol + rel_tol * |y|``: that
@@ -204,14 +203,16 @@ def step_rk4(t: float, s: HormoneState, dt: float, p: ParameterSet,
     """One classical 4th-order Runge-Kutta step of size dt."""
     if not dt > 0:
         raise IntegrationError(f"dt must be > 0, got {dt}")
-    y = _rk4_step(t, s.as_tuple(), dt, p, d_const, _rhs)
+    y = s.as_tuple()
+    y = _rk4_step(t, y, _rhs(t, *y, p, d_const), dt, p, d_const, _rhs)
     _check_finite(t + dt, y)
     return HormoneState(*y)
 
 
-def _rk4_step(t, y, dt, p, d_const, rhs):
+def _rk4_step(t, y, k1, dt, p, d_const, rhs):
+    """One classical RK4 step; ``k1`` is ``rhs`` at (t, y), as in ``_ck_step``."""
     R, A, C = y
-    k1R, k1A, k1C = rhs(t, R, A, C, p, d_const)
+    k1R, k1A, k1C = k1
     half = 0.5 * dt
     t_mid = t + half
     # both midpoint stages see the same forcing: evaluate it once
@@ -332,15 +333,14 @@ def _march(t_start, t_stop, y, p, config: IntegrationConfig, output_times=(),
            states=None, control=None):
     """March one model or a ``ParameterBatch`` from t_start to t_stop.
 
-    Fixed mode takes RK4 steps of ``config.dt`` and cuts a step short,
-    however short, to land on the next output time or on t_stop. Adaptive
-    mode takes Cash-Karp steps under PI control, sized for a batch by its
-    worst member, and cuts a step only to land on t_stop: each output time
-    inside an accepted step gets the step's cubic Hermite interpolant (see
-    ``_record_dense``), so the steps do not depend on the output times.
-    ``states[k]`` gets the state at ``output_times[k]``. Returns the final
-    state; raises ``IntegrationError`` once more than ``_MAX_STEPS`` steps
-    have been tried.
+    Fixed mode takes RK4 steps of ``config.dt``, at ``t_start + n * dt`` so
+    that t does not drift. Adaptive mode takes Cash-Karp steps under PI
+    control, sized for a batch by its worst member. Either mode cuts a step
+    only to land on t_stop: each output time inside an accepted step gets
+    the step's cubic Hermite interpolant (see ``_record_dense``), so the
+    steps do not depend on the output times. ``states[k]`` gets the state
+    at ``output_times[k]``. Returns the final state; raises
+    ``IntegrationError`` once more than ``_MAX_STEPS`` steps have been tried.
 
     ``control``, if given, is a list that carries ``[step size, error
     memory, step tries left]`` from this march into the next (empty before
@@ -352,8 +352,7 @@ def _march(t_start, t_stop, y, p, config: IntegrationConfig, output_times=(),
     abs_tol, rel_tol, d_const = config.abs_tol, config.rel_tol, config.daylight_const
     out_idx = _record_due(t_start, y, output_times, 0, states)
     n_out = len(output_times)
-    # fixed steps are counted from the last landing, so t does not drift
-    t, t_base, n_whole = t_start, t_start, 0
+    t, n_whole = t_start, 0
     t_last = t_stop - 1e-12
     if control:
         h, err_prev, budget = control
@@ -362,39 +361,32 @@ def _march(t_start, t_stop, y, p, config: IntegrationConfig, output_times=(),
              else min(_MAX_STEP, max(_MIN_STEP, (t_stop - t_start) / 100.0)))
         err_prev = 1e-4
         budget = _MAX_STEPS
-    # the derivative at (t, y): each Cash-Karp step's first stage, and an
-    # end slope of the interpolant
-    k1 = None if fixed else rhs(t, *y, p, d_const)
+    # the derivative at (t, y): each step's first stage, and an end slope
+    # of the interpolant
+    k1 = rhs(t, *y, p, d_const)
     h_try = h_free = h   # h_free: the last step size before any cut to land
     while t < t_last:
         budget -= 1
         if budget < 0:
             raise IntegrationError(f"more than {_MAX_STEPS} steps tried by t={t}", t=t)
-        target = t_stop
-        if fixed and out_idx < n_out:
-            target = min(target, output_times[out_idx])
         h_free = h
-        h_try = min(h, target - t)
+        h_try = min(h, t_stop - t)
         if fixed:
-            y = _rk4_step(t, y, h_try, p, d_const, rhs)
-            if h_try < h:
-                t_base, n_whole = target, 0
-            else:
-                n_whole += 1
-            t = t_base + n_whole * h
-            check_finite(t, y)
-            out_idx = _record_due(t, y, output_times, out_idx, states)
+            y_new = _rk4_step(t, y, k1, h_try, p, d_const, rhs)
+            n_whole += 1
+            t_new = t_stop if h_try < h else t_start + n_whole * h
         else:
             y_new, err = _ck_step(t, y, k1, h_try, p, d_const, rhs)
             t_new = t + h_try
-            check_finite(t_new, y_new)
-            err_norm = error_norm(y, y_new, err, abs_tol, rel_tol)
-            if err_norm <= 1.0:
-                k1_new = rhs(t_new, *y_new, p, d_const)
-                if out_idx < n_out:
-                    out_idx = _record_dense(t, y, k1, h_try, y_new, k1_new,
-                                            output_times, out_idx, states)
-                t, y, k1 = t_new, y_new, k1_new
+        check_finite(t_new, y_new)
+        err_norm = 0.0 if fixed else error_norm(y, y_new, err, abs_tol, rel_tol)
+        if err_norm <= 1.0:
+            k1_new = rhs(t_new, *y_new, p, d_const)
+            if out_idx < n_out:
+                out_idx = _record_dense(t, y, k1, h_try, y_new, k1_new,
+                                        output_times, out_idx, states)
+            t, y, k1 = t_new, y_new, k1_new
+        if not fixed:
             # a landing step shorter than _MIN_STEP must not trip the underflow check
             h, err_prev = _control(max(h_try, _MIN_STEP), err_norm, err_prev)
             if h < _MIN_STEP:
@@ -415,8 +407,8 @@ def default_initial_state(p: ParameterSet, t: float = 0.0) -> HormoneState:
 
 def _output_grid(t0, t_end, spacing):
     """Times t0, t0 + spacing, ... up to and including t_end, at most
-    ``_MAX_STEPS`` intervals (a shorter last one counts), as fixed mode
-    takes at most ``_MAX_STEPS`` steps."""
+    ``_MAX_STEPS`` intervals (a shorter last one counts), so that its
+    memory is bounded as a march's work is."""
     n = (t_end - t0) / spacing + 1e-9
     # an inf or nan count fails this test too, before it is floored
     if n < _MAX_STEPS + 1:
@@ -467,8 +459,10 @@ def _solve(config: IntegrationConfig, p, y, output_times):
 
     The window records on ``output_times``, sorted; by default every ``dt``
     (fixed mode) or ``output_dt`` (adaptive mode) minutes, end inclusive.
-    Returns (times, states, burn-in days, burn-in residual); ``states`` has
-    shape (time, 3) for one model and (time, 3, member) for a batch.
+    In both modes its steps do not depend on the output times (see
+    ``_march``). Returns (times, states, burn-in days, burn-in residual);
+    ``states`` has shape (time, 3) for one model and (time, 3, member) for
+    a batch.
     """
     fixed = config.mode == "fixed"
     # each step spans at most dt (fixed) or _MAX_STEP (adaptive) minutes
@@ -516,10 +510,10 @@ def integrate(config: IntegrationConfig, p: ParameterSet,
     cap, and the returned ``Trajectory`` says how many days it took. It
     records the state at each of ``output_times`` (default: every ``dt``
     minutes in fixed mode, every ``output_dt`` minutes in adaptive mode,
-    end inclusive). Fixed mode lands a step on each of them. Adaptive mode
-    steps freely and interpolates each within its step by a cubic Hermite
-    polynomial (error O(h^4) in the step size h), so a row does not depend
-    on which other times are asked for.
+    end inclusive). Neither mode lands a step on them: each is interpolated
+    within its step by a cubic Hermite polynomial (error O(h^4) in the step
+    size h), and a time within 1e-9 min of a step end gets that step's
+    state, so a row does not depend on which other times are asked for.
     """
     s0 = config.initial_state or default_initial_state(p, config.t0 - config.burn_in)
     times, states, days, residual = _solve(config, p, s0.as_tuple(), output_times)
@@ -553,7 +547,8 @@ def sample(traj: Trajectory, query_times) -> np.ndarray:
     """Piecewise-linear interpolation of the trajectory, shape (n, 3)."""
     q = np.atleast_1d(np.asarray(query_times, dtype=float))
     lo, hi = traj.times[0], traj.times[-1]
-    if np.any(q < lo - 1e-9) or np.any(q > hi + 1e-9):
+    # every time inside, so that a nan fails too
+    if not np.all((q >= lo - 1e-9) & (q <= hi + 1e-9)):
         raise SamplingError(
             f"query times outside trajectory range [{lo}, {hi}]")
     q = np.clip(q, lo, hi)

@@ -1,13 +1,13 @@
-"""Worker-count control for internally parallel computations.
+"""Worker-count reading and the ordered map that sensitivity reports use.
 
-``HPA_DYN_THREADS`` caps the number of worker processes; 0 or unset means
-the hardware default.
+Every map runs in the calling process. ``HPA_DYN_THREADS`` is read only by
+``worker_count`` (0 or unset means the hardware default), which no
+computation here calls, so the variable changes no result.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 from .errors import ConfigError
 
@@ -28,10 +28,5 @@ def worker_count() -> int:
 
 
 def map_ordered(fn, items):
-    """Map preserving input order, using processes when allowed and useful."""
-    items = list(items)
-    n = min(worker_count(), len(items))
-    if n <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
+    """``[fn(item) for item in items]``, in the calling process."""
+    return [fn(item) for item in items]

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hpa_dynamics import (HormoneState, IntegrationConfig, IntegrationError,
                           ParameterSet, SamplingError, default_initial_state,
@@ -39,11 +39,13 @@ class TestStepRk4:
     def test_local_error_shrinks_fifth_order(self, params, burned_state):
         # |one dt step - two dt/2 steps| is a local O(dt^5) quantity,
         # so halving dt shrinks it by about 32x
+        def step(t, y, dt):
+            return _rk4_step(t, y, _rhs(t, *y, params, None), dt, params, None, _rhs)
+
         def gap(dt):
             y = burned_state.as_tuple()
-            full = _rk4_step(0.0, y, dt, params, None, _rhs)
-            h1 = _rk4_step(0.0, y, dt / 2, params, None, _rhs)
-            h2 = _rk4_step(dt / 2, h1, dt / 2, params, None, _rhs)
+            full = step(0.0, y, dt)
+            h2 = step(dt / 2, step(0.0, y, dt / 2), dt / 2)
             return max(abs(a - b) for a, b in zip(full, h2))
 
         r1 = gap(8.0) / gap(4.0)
@@ -231,8 +233,9 @@ class TestOutputLanding:
 
 
 class TestFixedModeOutputTimes:
-    """Fixed mode records on the output times by landing on them: each RK4
-    step is cut short to land on the next one."""
+    """Fixed mode records on the output times without landing on them: its
+    RK4 steps stay on the ``dt`` lattice, and a time between two lattice
+    points is interpolated within its step."""
 
     CFG = IntegrationConfig(t_end=60.0, burn_in=1440.0, mode="fixed", dt=0.5)
 
@@ -257,12 +260,13 @@ class TestFixedModeOutputTimes:
         rows = [int(t / self.CFG.dt) for t in times[:4]]
         assert np.array_equal(traj.states[:4], grid.states[rows])
 
-    def test_off_lattice_row_is_a_landed_step(self, params):
-        # steps of dt up to 12.0, then one of 0.3, as in a run ending at 12.3
+    def test_off_lattice_row_near_a_landed_step(self, params):
+        # the interpolant on the step from 12.0 to 12.5, against a run that
+        # ends with a step of 0.3 onto 12.3; the gap is about 1e-11
         traj = integrate(self.CFG, params, output_times=[5.0, 12.3])
         ended = integrate(replace(self.CFG, t_end=12.3), params)
         assert ended.times[-1] == 12.3
-        assert np.array_equal(traj.states[-1], ended.states[-1])
+        assert np.allclose(traj.states[-1], ended.states[-1], rtol=1e-10, atol=0)
 
     def test_batch_members_equal_their_own_runs(self, params):
         sets = [params, params.with_values(k4=0.09)]
@@ -275,14 +279,14 @@ class TestFixedModeOutputTimes:
             assert np.allclose(traj.states, scalar.states, rtol=1e-12, atol=0)
 
     def test_whole_steps_do_not_drift(self, params, monkeypatch):
-        # whole steps count from the last landing: a day at dt 0.1 steps
+        # whole steps count from the march's start: a day at dt 0.1 steps
         # from -1440 + i * 0.1, where summing the steps drifts by about 2e-10
         seen = []
         original = integrator._rk4_step
 
-        def spy(t, y, dt, *args):
+        def spy(t, y, k1, dt, *args):
             seen.append((t, dt))
-            return original(t, y, dt, *args)
+            return original(t, y, k1, dt, *args)
 
         monkeypatch.setattr(integrator, "_rk4_step", spy)
         integrate(IntegrationConfig(t_end=0.0, burn_in=1440.0, mode="fixed", dt=0.1),
@@ -296,18 +300,25 @@ class TestFixedModeOutputTimes:
             integrate(self.CFG, params, output_times=times)
 
     def test_step_tries_counted(self, params, monkeypatch):
-        # ten landings at the half minutes plus the last half step: 11 steps
         monkeypatch.setattr(integrator, "_MAX_STEPS", 10)
         cfg = IntegrationConfig(t_end=10.0, burn_in=0.0, mode="fixed", dt=1.0)
         assert len(integrate(cfg, params).times) == 11
+        # rows at the half minutes cut no step: still ten steps
+        halves = integrate(cfg, params, output_times=np.arange(0.5, 10.0, 1.0))
+        assert len(halves.times) == 10
+        # a burn-in of 1440.5 min spans 9.6 steps of 150 min, but its
+        # half-minute remainder and its day each end on a cut step: 11 tries
+        p = params.feedback_free()
+        still = replace(cfg, t_end=0.0, burn_in=1440.5, dt=150.0, daylight_const=0.5,
+                        initial_state=steady_state_open_loop(p, 0.5))
         with pytest.raises(IntegrationError, match="more than 10 steps"):
-            integrate(cfg, params, output_times=np.arange(0.5, 10.0, 1.0))
+            integrate(still, p)
 
 
 class TestDenseOutput:
-    """Adaptive mode steps freely and interpolates each output time within
-    its step, so the steps, and every row, do not depend on the output
-    times."""
+    """Neither mode lands a step on an output time: each is interpolated
+    within its step, so the steps, and every row, do not depend on the
+    output times."""
 
     WINDOW = 300.0
     # up to ten output times on or off the minute grid, some within
@@ -325,10 +336,16 @@ class TestDenseOutput:
     def rows_at(traj, times):
         return traj.states[np.searchsorted(traj.times, times)]
 
+    # fixed mode runs at dt 0.5; a march that landed a step on 12.3 would
+    # shift every later step, and so the row at 100
+    MODES = st.sampled_from(["adaptive", "fixed"])
+    OFF_LATTICE = [12.3, 100.0]
+
     @settings(max_examples=25, deadline=None)
-    @given(times=TIMES)
-    def test_rows_do_not_depend_on_other_times(self, params, burned_state, times):
-        cfg = IntegrationConfig(t_end=self.WINDOW, burn_in=0.0,
+    @given(times=TIMES, mode=MODES)
+    @example(times=OFF_LATTICE, mode="fixed")
+    def test_rows_do_not_depend_on_other_times(self, params, burned_state, times, mode):
+        cfg = IntegrationConfig(t_end=self.WINDOW, burn_in=0.0, mode=mode, dt=0.5,
                                 initial_state=burned_state)
         more = self.and_every_minute(times)
         traj = integrate(cfg, params, output_times=times)
@@ -336,9 +353,11 @@ class TestDenseOutput:
                                                         traj.times))
 
     @settings(max_examples=10, deadline=None)
-    @given(times=TIMES)
-    def test_batch_rows_do_not_depend_on_other_times(self, params, burned_state, times):
-        cfg = IntegrationConfig(t_end=self.WINDOW, burn_in=0.0,
+    @given(times=TIMES, mode=MODES)
+    @example(times=OFF_LATTICE, mode="fixed")
+    def test_batch_rows_do_not_depend_on_other_times(self, params, burned_state, times,
+                                                     mode):
+        cfg = IntegrationConfig(t_end=self.WINDOW, burn_in=0.0, mode=mode, dt=0.5,
                                 initial_state=burned_state)
         sets = [params, params.with_values(k4=0.09)]
         more = self.and_every_minute(times)
@@ -585,3 +604,9 @@ class TestSample:
             sample(one_day_traj, [-5.0])
         with pytest.raises(SamplingError):
             sample(one_day_traj, [1441.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_time_rejected(self, one_day_traj, bad):
+        # a nan passed both range tests and gave a nan row
+        with pytest.raises(SamplingError):
+            sample(one_day_traj, [0.0, bad])

@@ -1,5 +1,7 @@
 """MAPE/RMSE metrics and trajectory scoring."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -106,6 +108,13 @@ class TestObservationSeries:
         with pytest.raises(MetricError):
             ObservationSeries(times=np.array([1.0, 0.0]),
                               cortisol=np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_rejected(self, bad):
+        # used to be accepted: every fit objective was then the penalty,
+        # and score_fit gave nan MAPE and RMSE
+        with pytest.raises(MetricError, match="finite"):
+            ObservationSeries(times=[0.0, bad, 60.0], cortisol=[5.0, 6.0, 7.0])
 
     def test_len(self):
         obs = ObservationSeries(times=np.array([0.0, 30.0]),

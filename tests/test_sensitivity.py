@@ -1,5 +1,6 @@
 """Finite-difference sensitivity indices, ranking and SI correlations."""
 
+import multiprocessing.process
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ from hpa_dynamics import (ConfigError, IntegrationConfig, ParameterSet,
                           PARAMETER_NAMES, SensitivityError,
                           correlation_matrix, hill, rank_parameters,
                           si_timeseries)
-from hpa_dynamics import parallel, sensitivity
+from hpa_dynamics import sensitivity
 from hpa_dynamics.parallel import ENV_VAR, worker_count
 
 # frozen daylight plus a long burn-in parks the feedback-free model on its
@@ -276,9 +277,11 @@ class TestParallel:
 
     def test_report_starts_no_process(self, params, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("a sensitivity report started a process pool")
+            raise AssertionError("a sensitivity report started a process")
 
-        monkeypatch.setenv(ENV_VAR, "2")
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", refuse)
+        # the report runs in the calling process and reads no worker count,
+        # so a value that worker_count refuses cannot fail it
+        monkeypatch.setenv(ENV_VAR, "banana")
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
         report = rank_parameters(params, grid=SHORT_GRID, integration=SHORT_CFG)
         assert set(report.ranking) == set(PARAMETER_NAMES)
