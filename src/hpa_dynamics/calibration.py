@@ -22,6 +22,7 @@ from .model import PARAMETER_NAMES, ParameterSet
 PENALTY = 1e9
 
 DEFAULT_FREE = ("k1", "k2", "k3", "k4", "k5")
+OBJECTIVE_KINDS = ("sum_mape", "sum_squares")
 # a start has converged once its simplex is this narrow relative to its best vertex
 _DIAM_TOL = 1e-6
 
@@ -34,7 +35,7 @@ class FitProblem:
     free_names: tuple[str, ...] = DEFAULT_FREE
     lower: np.ndarray | None = None   # default: 0.1x base value
     upper: np.ndarray | None = None   # default: 10x base value
-    objective_kind: str = "sum_mape"  # "sum_mape" | "sum_squares"
+    objective_kind: str = "sum_mape"  # one of OBJECTIVE_KINDS
     w_acth: float = 1.0
     w_cortisol: float = 1.0
     integration: IntegrationConfig = field(default_factory=IntegrationConfig)
@@ -56,8 +57,12 @@ class FitProblem:
             raise FitError("bounds must satisfy 0 < lower < upper")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
-        if self.objective_kind not in ("sum_mape", "sum_squares"):
+        if self.objective_kind not in OBJECTIVE_KINDS:
             raise FitError(f"unknown objective kind {self.objective_kind!r}")
+        weights = (self.w_acth, self.w_cortisol)
+        if not (all(np.isfinite(w) and w >= 0 for w in weights) and max(weights) > 0):
+            raise FitError("weights must be finite and >= 0, and one of them > 0, got "
+                           f"w_acth={self.w_acth}, w_cortisol={self.w_cortisol}")
 
     def assemble(self, candidate) -> ParameterSet:
         updates = {n: float(v) for n, v in zip(self.free_names, candidate)}
@@ -160,6 +165,17 @@ def _nelder_mead(f, x0, lower, upper):
                     fvals[i] = f(simplex[i])
 
 
+def _check_fit_args(budget, seed, n_starts):
+    """``fit``'s rules on its budget, seed and starts; ``parse_config`` applies
+    them to the ``fit.*`` keys."""
+    if budget < 1:
+        raise FitError(f"budget must be >= 1, got {budget}")
+    if seed < 0:
+        raise FitError(f"seed must be >= 0, got {seed}")
+    if n_starts < 1:
+        raise FitError(f"n_starts must be >= 1, got {n_starts}")
+
+
 def fit(prob: FitProblem, obs: ObservationSeries, init=None, budget: int = 5000,
         seed: int = 0, n_starts: int = 5, on_evaluate=None) -> FitResult:
     """Minimize the objective with deterministic multi-start Nelder-Mead.
@@ -171,12 +187,7 @@ def fit(prob: FitProblem, obs: ObservationSeries, init=None, budget: int = 5000,
     value ties the best: a start converges when its simplex passes the
     diameter test with budget left.
     """
-    if budget < 1:
-        raise FitError(f"budget must be >= 1, got {budget}")
-    if seed < 0:
-        raise FitError(f"seed must be >= 0, got {seed}")
-    if n_starts < 1:
-        raise FitError(f"n_starts must be >= 1, got {n_starts}")
+    _check_fit_args(budget, seed, n_starts)
     if init is None:
         init = np.array([getattr(prob.base, n) for n in prob.free_names])
     init = np.asarray(init, dtype=float)

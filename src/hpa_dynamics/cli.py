@@ -1,6 +1,6 @@
 """Command-line front end: simulate, validate, fit, sensitivity, daylight.
 
-Exit codes: 0 success, 1 input error, 2 numerical failure.
+Exit codes: 0 success, 1 input or file-system error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -13,9 +13,7 @@ import numpy as np
 
 from . import __version__
 from .calibration import FitProblem, fit as run_fit
-from .errors import (ConfigError, FitError, IntegrationError,
-                     MetricError, ModelDomainError, ObservationError,
-                     SamplingError, SensitivityError)
+from .errors import HpaError, IntegrationError
 from .integrator import _output_grid, integrate
 from .io import RunConfig, parse_config, parse_observations, write_csv, write_manifest
 from .metrics import score_fit
@@ -25,11 +23,6 @@ from .sensitivity import rank_parameters
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NUMERICAL = 2
-
-_INPUT_ERRORS = (ConfigError, ObservationError, MetricError, FitError,
-                 ModelDomainError, SamplingError, SensitivityError,
-                 FileNotFoundError)
-_NUMERICAL_ERRORS = (IntegrationError,)
 
 
 def _load_config(args) -> RunConfig:
@@ -186,12 +179,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _NUMERICAL_ERRORS as exc:
+    except (HpaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return EXIT_NUMERICAL if isinstance(exc, IntegrationError) else EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -2,14 +2,14 @@
 
 Two modes: classical fixed-step RK4, and an adaptive embedded Cash-Karp 4(5)
 pair with PI step-size control. One march serves both. It cuts a step only
-to land on the end of its stretch, and records each output time inside a
-step from the step's cubic Hermite interpolant (dense output), so its steps
-are the same whatever the output times. Both modes march a burn-in that is
+to land on one of its stops, and records each output time inside a step
+from the step's cubic Hermite interpolant (dense output), so its steps are
+the same whatever the output times. Both modes march a burn-in that is
 discarded so reported trajectories start on the 24-h attractor. The burn-in
-runs a whole day (1440 min, the forcing period) at a time and stops as soon
-as one day leaves every component within ``abs_tol + rel_tol * |y|``: that
-state is a point of the attractor, and so the state at ``t0``. ``burn_in``
-is the cap.
+is one march that stops at each day end (1440 min, the forcing period) and
+ends as soon as one day leaves every component within ``abs_tol + rel_tol *
+|y|``: that state is a point of the attractor, and so the state at ``t0``.
+``burn_in`` is the cap. The recorded window is a second, fresh march.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ _LAND_TOL = 1e-9
 _MAX_STEPS = 2_000_000
 # period of the daylight forcing: the burn-in's unit of march
 _DAY = 1440.0
+MODES = ("fixed", "adaptive")
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,7 @@ class IntegrationConfig:
     t0: float = 0.0
     t_end: float = 1440.0
     dt: float = 0.5
-    mode: str = "adaptive"          # "fixed" | "adaptive"
+    mode: str = "adaptive"          # one of MODES
     abs_tol: float = 1e-8
     rel_tol: float = 1e-8
     # most minutes integrated and discarded before t0; the march stops at
@@ -91,7 +92,7 @@ class IntegrationConfig:
             raise IntegrationError(f"burn_in must be >= 0, got {self.burn_in}")
         if not self.output_dt > 0:
             raise IntegrationError(f"output_dt must be > 0, got {self.output_dt}")
-        if self.mode not in ("fixed", "adaptive"):
+        if self.mode not in MODES:
             raise IntegrationError(f"unknown mode {self.mode!r}")
 
     def covering(self, times) -> "IntegrationConfig":
@@ -329,75 +330,69 @@ def _control(h, err_norm, err_prev):
     return min(_MAX_STEP, h * factor), err_prev
 
 
-def _march(t_start, t_stop, y, p, config: IntegrationConfig, output_times=(),
-           states=None, control=None):
-    """March one model or a ``ParameterBatch`` from t_start to t_stop.
+def _march(t_start, stops, y, p, config: IntegrationConfig, output_times=(),
+           states=None):
+    """March one model or a ``ParameterBatch`` from t_start through each
+    time in the increasing list ``stops``, and yield the state at each.
 
-    Fixed mode takes RK4 steps of ``config.dt``, at ``t_start + n * dt`` so
-    that t does not drift. Adaptive mode takes Cash-Karp steps under PI
-    control, sized for a batch by its worst member. Either mode cuts a step
-    only to land on t_stop: each output time inside an accepted step gets
-    the step's cubic Hermite interpolant (see ``_record_dense``), so the
-    steps do not depend on the output times. ``states[k]`` gets the state
-    at ``output_times[k]``. Returns the final state; raises
-    ``IntegrationError`` once more than ``_MAX_STEPS`` steps have been tried.
-
-    ``control``, if given, is a list that carries ``[step size, error
-    memory, step tries left]`` from this march into the next (empty before
-    the first): marches run back to back then step as one march would, and
-    share one ``_MAX_STEPS`` budget.
+    Fixed mode takes RK4 steps of ``config.dt``, at ``stop + n * dt`` from
+    the last stop (or t_start) so that t does not drift. Adaptive mode
+    takes Cash-Karp steps under PI control, sized for a batch by its worst
+    member. Either mode cuts a step only to land on a stop, and then goes
+    on with the size it cut from: the stretches step as one march, with
+    one controller and one ``_MAX_STEPS`` budget of step tries, beyond
+    which it raises ``IntegrationError``. Each output time inside an
+    accepted step gets the step's cubic Hermite interpolant (see
+    ``_record_dense``), so the steps do not depend on the output times.
+    ``states[k]`` gets the state at ``output_times[k]``. A consumer may
+    stop reading early; only the burn-in does, and it records no outputs.
     """
     rhs, error_norm, check_finite = _kernels(p)
     fixed = config.mode == "fixed"
     abs_tol, rel_tol, d_const = config.abs_tol, config.rel_tol, config.daylight_const
     out_idx = _record_due(t_start, y, output_times, 0, states)
     n_out = len(output_times)
-    t, n_whole = t_start, 0
-    t_last = t_stop - 1e-12
-    if control:
-        h, err_prev, budget = control
-    else:
-        h = (config.dt if fixed
-             else min(_MAX_STEP, max(_MIN_STEP, (t_stop - t_start) / 100.0)))
-        err_prev = 1e-4
-        budget = _MAX_STEPS
-    # the derivative at (t, y): each step's first stage, and an end slope
-    # of the interpolant
-    k1 = rhs(t, *y, p, d_const)
-    h_try = h_free = h   # h_free: the last step size before any cut to land
-    while t < t_last:
-        budget -= 1
-        if budget < 0:
-            raise IntegrationError(f"more than {_MAX_STEPS} steps tried by t={t}", t=t)
-        h_free = h
-        h_try = min(h, t_stop - t)
-        if fixed:
-            y_new = _rk4_step(t, y, k1, h_try, p, d_const, rhs)
-            n_whole += 1
-            t_new = t_stop if h_try < h else t_start + n_whole * h
-        else:
-            y_new, err = _ck_step(t, y, k1, h_try, p, d_const, rhs)
-            t_new = t + h_try
-        check_finite(t_new, y_new)
-        err_norm = 0.0 if fixed else error_norm(y, y_new, err, abs_tol, rel_tol)
-        if err_norm <= 1.0:
-            k1_new = rhs(t_new, *y_new, p, d_const)
-            if out_idx < n_out:
-                out_idx = _record_dense(t, y, k1, h_try, y_new, k1_new,
-                                        output_times, out_idx, states)
-            t, y, k1 = t_new, y_new, k1_new
-        if not fixed:
-            # a landing step shorter than _MIN_STEP must not trip the underflow check
-            h, err_prev = _control(max(h_try, _MIN_STEP), err_norm, err_prev)
-            if h < _MIN_STEP:
-                raise IntegrationError(f"step size underflow at t={t}", t=t)
-    # t is within 1e-12 of t_stop, and output times lie within _LAND_TOL of it
-    for k in range(out_idx, n_out):
-        states[k] = y
-    if control is not None:
-        # a last step cut short to land on t_stop hands on the size it was cut from
-        control[:] = (h_free if h_try < h_free else h, err_prev, budget)
-    return y
+    h = (config.dt if fixed or not stops
+         else min(_MAX_STEP, max(_MIN_STEP, (stops[0] - t_start) / 100.0)))
+    err_prev, budget, t = 1e-4, _MAX_STEPS, t_start
+    for t_stop in stops:
+        # the derivative at (t, y): each step's first stage, and an end slope
+        # of the interpolant
+        k1 = rhs(t, *y, p, d_const)
+        t_base, n_whole, t_last = t, 0, t_stop - 1e-12
+        h_try = h_free = h   # h_free: the last step size before any cut to land
+        while t < t_last:
+            budget -= 1
+            if budget < 0:
+                raise IntegrationError(f"more than {_MAX_STEPS} steps tried by t={t}",
+                                       t=t)
+            h_free = h
+            h_try = min(h, t_stop - t)
+            if fixed:
+                y_new = _rk4_step(t, y, k1, h_try, p, d_const, rhs)
+                n_whole += 1
+                t_new = t_stop if h_try < h else t_base + n_whole * h
+            else:
+                y_new, err = _ck_step(t, y, k1, h_try, p, d_const, rhs)
+                t_new = t + h_try
+            check_finite(t_new, y_new)
+            err_norm = 0.0 if fixed else error_norm(y, y_new, err, abs_tol, rel_tol)
+            if err_norm <= 1.0:
+                k1_new = rhs(t_new, *y_new, p, d_const)
+                if out_idx < n_out:
+                    out_idx = _record_dense(t, y, k1, h_try, y_new, k1_new,
+                                            output_times, out_idx, states)
+                t, y, k1 = t_new, y_new, k1_new
+            if not fixed:
+                # a landing step below _MIN_STEP must not trip the underflow check
+                h, err_prev = _control(max(h_try, _MIN_STEP), err_norm, err_prev)
+                if h < _MIN_STEP:
+                    raise IntegrationError(f"step size underflow at t={t}", t=t)
+        # t is within 1e-12 of t_stop: the next stretch starts on it exactly,
+        # and a last step cut short to land hands on the size it was cut from
+        h, t = (h_free if h_try < h_free else h), t_stop
+        out_idx = _record_due(t, y, output_times, out_idx, states)
+        yield y
 
 
 def default_initial_state(p: ParameterSet, t: float = 0.0) -> HormoneState:
@@ -413,6 +408,8 @@ def _output_grid(t0, t_end, spacing):
     # an inf or nan count fails this test too, before it is floored
     if n < _MAX_STEPS + 1:
         grid = [t0 + i * spacing for i in range(int(math.floor(n)) + 1)]
+        if grid[-1] > t_end + _LAND_TOL:   # the slack overshot a long spacing
+            grid.pop()
         if grid[-1] < t_end - 1e-9:
             grid.append(t_end)
         if len(grid) <= _MAX_STEPS + 1:
@@ -428,27 +425,27 @@ def _day_change(y, y_new, abs_tol, rel_tol):
                for a, b in zip(y, y_new))
 
 
-def _burn_in(config: IntegrationConfig, y, march):
+def _burn_in(config: IntegrationConfig, p, y):
     """March the burn-in that ends at t0; returns (state at t0, days, residual).
 
-    ``march(t_start, t_stop, y)`` integrates one stretch and returns its
-    final state. The part of ``burn_in`` that is not a whole day goes first,
-    so every day then ends on ``t0 - k * 1440``. After each day the march
-    stops if the day changed no component beyond the tolerances (residual
-    at most 1, see ``_day_change``): the forcing has period 1440, so that
-    day-end state is the state at t0. Otherwise it goes on to the cap.
+    One march lands on the end of the part of ``burn_in`` that is not a
+    whole day, if any, then on each day end ``t0 - k * 1440``: the days
+    share one step-size controller and one step budget. The burn-in stops
+    after the first day that changed no component beyond the tolerances
+    (residual at most 1, see ``_day_change``): the forcing has period 1440,
+    so that day-end state is the state at t0. Otherwise it goes to the cap.
     """
     days, rest = divmod(config.burn_in, _DAY)
     days = int(days)
-    t = config.t0 - days * _DAY
+    first = days if rest > 0 else days - 1   # the remainder's end, if any
+    ends = [config.t0 - k * _DAY for k in range(first, -1, -1)]
+    march = _march(config.t0 - config.burn_in, ends, y, p, config)
     if rest > 0:
-        y = march(config.t0 - config.burn_in, t, y)
+        y = next(march)
     residual = math.nan
-    for day in range(1, days + 1):
-        t_next = config.t0 - (days - day) * _DAY
-        y_new = march(t, t_next, y)
+    for day, y_new in enumerate(march, 1):
         residual = _day_change(y, y_new, config.abs_tol, config.rel_tol)
-        t, y = t_next, y_new
+        y = y_new
         if residual <= 1.0:
             return y, day, residual
     return y, days, residual
@@ -484,14 +481,10 @@ def _solve(config: IntegrationConfig, p, y, output_times):
         lo, hi = config.t0 - _LAND_TOL, config.t_end + _LAND_TOL
         if not all(lo <= t <= hi for t in output_times):
             raise IntegrationError("output times outside [t0, t_end]")
-    control = []   # the burn-in's days step as one march
-
-    def march(t_start, t_stop, y):
-        return _march(t_start, t_stop, y, p, config, control=control)
-
-    y, days, residual = _burn_in(config, y, march)
+    y, days, residual = _burn_in(config, p, y)
     states = np.empty((len(output_times),) + np.shape(y))
-    _march(config.t0, config.t_end, y, p, config, output_times, states)
+    # a fresh march: the window does not inherit the burn-in's step size
+    next(_march(config.t0, [config.t_end], y, p, config, output_times, states))
     # an interpolated state also reads the derivative at its step's end,
     # which no later step checks after the window's last one
     finite = np.isfinite(states).reshape(len(output_times), -1).all(axis=1)

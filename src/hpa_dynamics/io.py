@@ -17,12 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibration import DEFAULT_FREE
-from .errors import ConfigError, HpaError, ObservationError
-from .integrator import IntegrationConfig
+from .calibration import DEFAULT_FREE, OBJECTIVE_KINDS, _check_fit_args
+from .errors import ConfigError, FitError, HpaError, ObservationError
+from .integrator import MODES, IntegrationConfig
 from .metrics import ObservationSeries
 from .model import PARAMETER_NAMES, ParameterSet
-from .sensitivity import DEFAULT_REL_STEP
+from .sensitivity import DEFAULT_REL_STEP, _check_rel_step
 
 OBS_HEADER = ["time_min", "acth_pg_ml", "cortisol_ug_dl"]
 
@@ -82,8 +82,7 @@ SCHEMA: dict[str, tuple[str | None, str]] = {
     "out.dir": (None, "out_dir"),
 }
 
-_CHOICES = {"integrate.mode": ("fixed", "adaptive"),
-            "fit.objective": ("sum_mape", "sum_squares")}
+_CHOICES = {"integrate.mode": MODES, "fit.objective": OBJECTIVE_KINDS}
 
 
 def _value(config: RunConfig, key: str):
@@ -176,10 +175,12 @@ def parse_config(path=None, overrides=()) -> RunConfig:
             for section, kw in updates.items()})
     except HpaError as exc:
         raise ConfigError(str(exc))
-    if config.fit.budget < 1:
-        raise ConfigError("fit.budget must be >= 1")
-    if not (0 < config.sens.rel_step <= 0.5):
-        raise ConfigError("sens.rel_step must lie in (0, 0.5]")
+    fs = config.fit
+    try:   # each message names its section, as in "fit.seed must be >= 0"
+        _check_fit_args(fs.budget, fs.seed, fs.n_starts)
+        _check_rel_step(config.sens.rel_step)
+    except HpaError as exc:
+        raise ConfigError(f"{'fit' if isinstance(exc, FitError) else 'sens'}.{exc}")
     if not config.sens.grid_dt_min > 0:
         raise ConfigError("sens.grid_dt_min must be > 0")
     return config

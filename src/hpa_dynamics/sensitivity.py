@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import SensitivityError
-from .integrator import IntegrationConfig, integrate, integrate_batch
+from .integrator import IntegrationConfig, _output_grid, integrate, integrate_batch
 from .model import PARAMETER_NAMES, ParameterSet
 from .parallel import map_ordered
 
@@ -54,12 +54,12 @@ class SensitivityReport:
     skipped: tuple[tuple[str, str], ...] = ()
 
 
-def _as_grid(grid):
-    """The output grid as an array: one minute apart over a day by default;
-    a given grid must be non-empty and strictly increasing, as its series
-    are reported in its order."""
+def _as_grid(grid, integration: IntegrationConfig):
+    """The output grid as an array: one minute apart over the day from
+    ``integration.t0`` by default; a given grid must be non-empty and
+    strictly increasing, as its series are reported in its order."""
     if grid is None:
-        return np.arange(0.0, 1441.0, 1.0)
+        return np.asarray(_output_grid(integration.t0, integration.t0 + 1440.0, 1.0))
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0 or not np.all(np.diff(grid) > 0):
         raise SensitivityError("grid must be a non-empty, strictly increasing "
@@ -108,8 +108,8 @@ def si_timeseries(p: ParameterSet, name: str, grid=None,
     _check_rel_step(rel_step)
     if getattr(p, name) == 0:
         raise SensitivityError(f"parameter {name} is zero; relative SI undefined")
-    grid = _as_grid(grid)
     integration = integration or IntegrationConfig()
+    grid = _as_grid(grid, integration)
 
     c0 = _cortisol_on_grid(p, grid, integration)
     if np.any(c0 == 0):
@@ -165,8 +165,8 @@ def rank_parameters(p: ParameterSet, grid=None,
     and listed in ``skipped``.
     """
     _check_rel_step(rel_step)
-    grid = _as_grid(grid)
     integration = integration or IntegrationConfig()
+    grid = _as_grid(grid, integration)
     baseline = _cortisol_on_grid(p, grid, integration)
     if np.any(baseline == 0):
         raise SensitivityError("baseline cortisol is zero on the grid")

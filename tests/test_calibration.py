@@ -51,6 +51,14 @@ class TestFitProblem:
                        lower=np.array([1.0]), upper=np.array([0.5]))
 
 
+    @pytest.mark.parametrize("w_acth, w_cortisol", [
+        (-1.0, 1.0), (float("nan"), 1.0), (1.0, float("inf")), (0.0, 0.0)])
+    def test_meaningless_weights_refused(self, params, w_acth, w_cortisol):
+        # a negative weight rewarded misfit; a nan one made every value PENALTY
+        with pytest.raises(FitError, match="weights"):
+            FitProblem(base=params, w_acth=w_acth, w_cortisol=w_cortisol)
+
+
 class TestObjective:
     def test_zero_at_truth(self, prob, obs, params):
         truth = np.array([getattr(params, n) for n in prob.free_names])

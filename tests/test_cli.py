@@ -243,6 +243,14 @@ class TestExitCodes:
         assert run(*argv, *data, "--out", str(tmp_path / "o")) == EXIT_INPUT
         assert capsys.readouterr().err.startswith(f"error: {key}: ")
 
+    @pytest.mark.parametrize("out", ["file", "file/sub"])
+    def test_unusable_out_dir_is_input_error(self, tmp_path, capsys, out):
+        # mkdir raised FileExistsError or NotADirectoryError out of main
+        (tmp_path / "file").write_text("")
+        assert run("daylight", "--out", str(tmp_path / out)) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_bad_config(self, tmp_path):
         cfg = write_cfg(tmp_path, "model.not_a_param = 1\n")
         assert run("simulate", "--config", str(cfg),

@@ -144,6 +144,16 @@ class TestIntegrate:
         assert traj.times[0] == 0.0 and traj.times[-1] == 120.0
         assert traj.states.shape == (121, 3)
 
+    @pytest.mark.parametrize("mode", ["adaptive", "fixed"])
+    def test_default_grid_ends_on_t_end(self, params, mode):
+        # the grid's slack once put its last time 5e-7 min past t_end
+        cfg = IntegrationConfig(t_end=2999.9999995, output_dt=1000.0, dt=1000.0,
+                                burn_in=0, mode=mode)
+        traj = integrate(cfg, params)
+        assert list(traj.times) == [0.0, 1000.0, 2000.0, 2999.9999995]
+        assert np.array_equal(traj.states[-1], integrate(cfg, params,
+                                                         [cfg.t_end]).states[0])
+
     def test_fixed_partial_final_step(self, params):
         cfg = IntegrationConfig(t0=0, t_end=10.3, burn_in=0, mode="fixed", dt=2.0)
         traj = integrate(cfg, params)
@@ -507,7 +517,7 @@ def full_march(cfg, p):
     """``integrate`` with the whole burn-in marched as one stretch and no
     convergence check: the reference for the day-at-a-time burn-in."""
     y = default_initial_state(p, cfg.t0 - cfg.burn_in).as_tuple()
-    y = integrator._march(cfg.t0 - cfg.burn_in, cfg.t0, y, p, cfg)
+    *_, y = integrator._march(cfg.t0 - cfg.burn_in, [cfg.t0], y, p, cfg)
     return integrate(replace(cfg, burn_in=0.0, initial_state=HormoneState(*y)), p)
 
 

@@ -162,6 +162,17 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="out.dir: empty value"):
             parse_config(None, [("out.dir", "")])
 
+    @pytest.mark.parametrize("text, message", [
+        ("fit.seed = -1\n", "fit.seed must be >= 0"),
+        ("fit.n_starts = 0\n", "fit.n_starts must be >= 1"),
+        ("fit.budget = 0\n", "fit.budget must be >= 1"),
+        ("sens.rel_step = 0.9\n", r"sens.rel_step must lie in \(0, 0.5\]")])
+    def test_fit_and_sensitivity_settings_checked_as_their_functions_do(
+            self, tmp_path, text, message):
+        # a negative seed and zero starts passed and reached a manifest
+        with pytest.raises(ConfigError, match=message):
+            parse_config(write(tmp_path, "c.cfg", text))
+
     def test_grid_spacing_must_be_positive(self, tmp_path):
         for value in ("0", "-10"):
             with pytest.raises(ConfigError, match="grid_dt_min"):

@@ -79,6 +79,15 @@ class TestSiTimeseries:
             si_timeseries(p, "k3", grid=FROZEN_GRID, integration=FROZEN_CFG)
 
 
+    def test_default_grid_follows_t0(self, params):
+        # the default grid was 0..1440 whatever t0, and the window followed it
+        cfg = IntegrationConfig(t0=720.0, t_end=2160.0, burn_in=1440.0)
+        grid = np.arange(720.0, 2161.0, 60.0)
+        assert np.array_equal(sensitivity._as_grid(None, cfg), np.arange(720.0, 2161.0))
+        assert np.array_equal(si_timeseries(params, "k5", integration=cfg)[::60],
+                              si_timeseries(params, "k5", grid=grid, integration=cfg))
+
+
 class TestCorrelationMatrix:
     def test_identical_series(self):
         s = np.array([1.0, 2.0, 3.0, 2.5])
