@@ -53,16 +53,14 @@ class FitProblem:
                  else 10.0 * base_vals)
         if lower.shape != (len(self.free_names),) or upper.shape != lower.shape:
             raise FitError("bounds must match the number of free parameters")
-        if np.any(lower <= 0) or np.any(lower >= upper):
-            raise FitError("bounds must satisfy 0 < lower < upper")
+        # written so that a nan bound fails it too
+        if not np.all((0 < lower) & (lower < upper) & (upper < np.inf)):
+            raise FitError("bounds must be finite and satisfy 0 < lower < upper")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         if self.objective_kind not in OBJECTIVE_KINDS:
             raise FitError(f"unknown objective kind {self.objective_kind!r}")
-        weights = (self.w_acth, self.w_cortisol)
-        if not (all(np.isfinite(w) and w >= 0 for w in weights) and max(weights) > 0):
-            raise FitError("weights must be finite and >= 0, and one of them > 0, got "
-                           f"w_acth={self.w_acth}, w_cortisol={self.w_cortisol}")
+        _check_weights(self.w_acth, self.w_cortisol)
 
     def assemble(self, candidate) -> ParameterSet:
         updates = {n: float(v) for n, v in zip(self.free_names, candidate)}
@@ -165,6 +163,15 @@ def _nelder_mead(f, x0, lower, upper):
                     fvals[i] = f(simplex[i])
 
 
+def _check_weights(w_acth, w_cortisol):
+    """``FitProblem``'s rule on its weights; ``parse_config`` applies it to
+    the ``fit.w_*`` keys."""
+    weights = (w_acth, w_cortisol)
+    if not (all(np.isfinite(w) and w >= 0 for w in weights) and max(weights) > 0):
+        raise FitError("weights must be finite and >= 0, and one of them > 0, got "
+                       f"w_acth={w_acth}, w_cortisol={w_cortisol}")
+
+
 def _check_fit_args(budget, seed, n_starts):
     """``fit``'s rules on its budget, seed and starts; ``parse_config`` applies
     them to the ``fit.*`` keys."""
@@ -193,8 +200,9 @@ def fit(prob: FitProblem, obs: ObservationSeries, init=None, budget: int = 5000,
     init = np.asarray(init, dtype=float)
     if init.shape != prob.lower.shape:
         raise FitError("init must match the number of free parameters")
-    if np.any(init < prob.lower) or np.any(init > prob.upper):
-        raise FitError("init outside bounds")
+    # the bounds are finite, so this refuses a nan or infinite init too
+    if not np.all((prob.lower <= init) & (init <= prob.upper)):
+        raise FitError(f"init must lie within the bounds, got {init}")
 
     rng = np.random.default_rng(seed)
     log_lo, log_hi = np.log(prob.lower), np.log(prob.upper)

@@ -21,8 +21,8 @@ from math import isfinite, sqrt
 import numpy as np
 
 from .errors import IntegrationError, SamplingError
-from .model import (HormoneState, ParameterBatch, ParameterSet, _rhs, _rhs_batch,
-                    daylight, steady_state_open_loop)
+from .model import (HormoneState, ParameterBatch, ParameterSet, _rhs, daylight,
+                    steady_state_open_loop)
 
 # Cash-Karp tableau; the 5th-order solution is propagated, the 4th-order
 # embedded solution provides the local error estimate.
@@ -189,14 +189,11 @@ def _error_norm_batch(y, y_new, err, abs_tol, rel_tol):
 
 
 def _kernels(p):
-    """RHS, error norm and finite-state check for one model or a batch.
-
-    The RHS is looked up when the march starts, so a wrapper installed on
-    the module name sees every call.
-    """
+    """Error norm and finite-state check for one model or a batch; ``_rhs``
+    serves both."""
     if isinstance(p, ParameterBatch):
-        return _rhs_batch, _error_norm_batch, _check_finite_batch
-    return _rhs, _error_norm, _check_finite
+        return _error_norm_batch, _check_finite_batch
+    return _error_norm, _check_finite
 
 
 def step_rk4(t: float, s: HormoneState, dt: float, p: ParameterSet,
@@ -347,7 +344,9 @@ def _march(t_start, stops, y, p, config: IntegrationConfig, output_times=(),
     ``states[k]`` gets the state at ``output_times[k]``. A consumer may
     stop reading early; only the burn-in does, and it records no outputs.
     """
-    rhs, error_norm, check_finite = _kernels(p)
+    # looked up here, so a wrapper installed on the module name sees every call
+    rhs = _rhs
+    error_norm, check_finite = _kernels(p)
     fixed = config.mode == "fixed"
     abs_tol, rel_tol, d_const = config.abs_tol, config.rel_tol, config.daylight_const
     out_idx = _record_due(t_start, y, output_times, 0, states)
@@ -527,7 +526,7 @@ def integrate_batch(config: IntegrationConfig, param_sets,
     starts = [(config.initial_state or default_initial_state(s, t_burn_start)).as_tuple()
               for s in batch.sets]
     y = tuple(np.array(column) for column in zip(*starts))
-    # Hill terms at a zero argument divide by zero by design (see _rhs_batch)
+    # Hill terms at a zero argument divide by zero by design (see _hill_denominator)
     with np.errstate(divide="ignore", over="ignore"):
         times, states, days, residual = _solve(config, batch, y, output_times)
     # member views of one (member, time, variable) block, not copies

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibration import DEFAULT_FREE, OBJECTIVE_KINDS, _check_fit_args
+from .calibration import DEFAULT_FREE, OBJECTIVE_KINDS, _check_fit_args, _check_weights
 from .errors import ConfigError, FitError, HpaError, ObservationError
 from .integrator import MODES, IntegrationConfig
 from .metrics import ObservationSeries
@@ -178,9 +178,15 @@ def parse_config(path=None, overrides=()) -> RunConfig:
     fs = config.fit
     try:   # each message names its section, as in "fit.seed must be >= 0"
         _check_fit_args(fs.budget, fs.seed, fs.n_starts)
+        _check_weights(fs.w_acth, fs.w_cortisol)
         _check_rel_step(config.sens.rel_step)
     except HpaError as exc:
         raise ConfigError(f"{'fit' if isinstance(exc, FitError) else 'sens'}.{exc}")
+    # FitProblem's bounds are these multiples of the base values
+    if not 0 < fs.lower_scale < fs.upper_scale:
+        raise ConfigError("fit.lower_scale and fit.upper_scale must satisfy "
+                          f"0 < lower_scale < upper_scale, got {fs.lower_scale} "
+                          f"and {fs.upper_scale}")
     if not config.sens.grid_dt_min > 0:
         raise ConfigError("sens.grid_dt_min must be > 0")
     return config

@@ -13,8 +13,6 @@ import numpy as np
 
 from .errors import ModelDomainError
 
-_INF = math.inf
-
 #: Canonical ordering of the 19 scalar model parameters (used by the
 #: sensitivity ranking and by serialization).
 PARAMETER_NAMES = (
@@ -155,19 +153,20 @@ def hill(x: float, K: float, n: float) -> float:
         raise ModelDomainError(f"hill: K must be > 0, got {K}")
     if not (n >= 1):
         raise ModelDomainError(f"hill: n must be >= 1, got {n}")
-    return _hill(x, K, n)
+    return 1.0 / _hill_denominator(x, K, n)
 
 
-def _hill(x: float, K: float, n: float) -> float:
-    # (x/K)^n keeps intermediate magnitudes tame for extreme x or K
+def _hill_denominator(x, K, n):
+    """1 + (K/x)^n, the reciprocal of hill(x, K, n), for floats or arrays.
+
+    x = 0 or a tiny x gives inf, a response of exactly 0: floats catch the
+    division and overflow errors, arrays only warn (batch callers silence
+    numpy's divide and overflow warnings).
+    """
     try:
-        r = (x / K) ** n
-    except OverflowError:
-        return 1.0
-    # r >= 0 or nan here, so this is math.isinf(r) without the call
-    if r == _INF:
-        return 1.0
-    return r / (1.0 + r)
+        return 1.0 + (K / x) ** n
+    except (ZeroDivisionError, OverflowError):
+        return math.inf
 
 
 def daylight(t: float) -> float:
@@ -196,56 +195,27 @@ def crh_feedback_factor(C: float, p: ParameterSet) -> float:
     return _rhs(0.0, 0.0, 0.0, C, replace(p, k1=1.0, k2=0.0), 0.0)[0]
 
 
-def _rhs(t: float, R: float, A: float, C: float, p: ParameterSet,
-         d_const: float | None = None) -> tuple[float, float, float]:
-    """Scalar fast path for the ODE right-hand side.
+def _rhs(t: float, R, A, C, p, d_const: float | None = None):
+    """The ODE right-hand side, for one model or a batch.
 
-    ``d_const`` freezes the daylight forcing at a constant (used for
-    fixed-point analysis); None means the periodic forcing.
+    With a ``ParameterSet``, R, A, C and the three returned rates are
+    floats; with a ``ParameterBatch`` they are ``(N,)`` arrays, member i
+    using parameter set i. Each coefficient * hill(x, K, n) is written
+    coefficient / (1 + (K/x)^n) to save array operations. ``d_const``
+    freezes the daylight forcing at a constant (used for fixed-point
+    analysis); None means the periodic forcing.
     """
     D = daylight(t) if d_const is None else d_const
-    # Hill arguments clamped at 0: embedded solver trial stages may probe
-    # slightly negative states, where fractional exponents are undefined.
-    A_h = A if A > 0.0 else 0.0
-    C_h = C if C > 0.0 else 0.0
-    c_beta = _hill(C_h, p.R_C, p.beta)
-    feedback = 1.0 - p.xi * c_beta - p.psi * _hill(C_h, p.R_C, p.delta)
-    if p.clamp_production and feedback < 0.0:
-        feedback = 0.0
-    dR = ((p.k1 + D * p.k2)
-          * (1.0 - p.phi * _hill(A_h, p.R_A, p.alpha))
-          * feedback
-          - p.h1 * R)
-    dA = ((p.k3 * _hill(D, p.R_D, p.gamma) + p.k4 * R)
-          * (1.0 - p.rho * c_beta)
-          - p.h2 * A)
-    dC = p.k5 * A - p.h3 * C
-    return (dR, dA, dC)
-
-
-def _hill_denominator(x, K, n):
-    # 1 + (K/x)^n, the reciprocal of hill(x, K, n). No overflow branch is
-    # needed on arrays: x = 0 or a tiny x gives inf, a response of exactly 0
-    # (callers silence numpy's divide and overflow warnings).
-    return 1.0 + (K / x) ** n
-
-
-def _rhs_batch(t: float, R, A, C, p: ParameterBatch,
-               d_const: float | None = None):
-    """``_rhs`` for a ``ParameterBatch``: R, A, C and the three returned
-    rates are ``(N,)`` arrays, member i using parameter set i.
-
-    Each coefficient * hill(x, K, n) is written coefficient / (1 + (K/x)^n)
-    to save array operations.
-    """
-    D = daylight(t) if d_const is None else d_const
-    C_h = np.maximum(C, 0.0)
+    # Hill arguments clamped at 0 (x * (x > 0) is max(x, 0) for floats and
+    # arrays): embedded solver trial stages may probe slightly negative
+    # states, where fractional exponents are undefined.
+    C_h = C * (C > 0.0)
     c_beta = _hill_denominator(C_h, p.R_C, p.beta)
     feedback = 1.0 - p.xi / c_beta - p.psi / _hill_denominator(C_h, p.R_C, p.delta)
     if p.clamp_production:
-        feedback = np.maximum(feedback, 0.0)
+        feedback = feedback * (feedback > 0.0)
     dR = ((p.k1 + D * p.k2)
-          * (1.0 - p.phi / _hill_denominator(np.maximum(A, 0.0), p.R_A, p.alpha))
+          * (1.0 - p.phi / _hill_denominator(A * (A > 0.0), p.R_A, p.alpha))
           * feedback
           - p.h1 * R)
     dA = ((p.k3 / _hill_denominator(D, p.R_D, p.gamma) + p.k4 * R)
@@ -278,6 +248,6 @@ def steady_state_open_loop(p: ParameterSet, D_const: float = 0.0) -> HormoneStat
     if not (D_const >= 0):
         raise ModelDomainError(f"D_const must be >= 0, got {D_const}")
     R = (p.k1 + D_const * p.k2) / p.h1
-    A = (p.k3 * _hill(D_const, p.R_D, p.gamma) + p.k4 * R) / p.h2
+    A = (p.k3 / _hill_denominator(D_const, p.R_D, p.gamma) + p.k4 * R) / p.h2
     C = p.k5 * A / p.h3
     return HormoneState(R, A, C)

@@ -32,6 +32,8 @@ DEFAULT_REL_STEP = 1e-3
 # is constant up to rounding (SI(k5) of the feedback-free model is 1 with
 # a spread of about 1e-12)
 _CONSTANT_SPREAD = 1e-9
+# fewest points of an SI series that the correlation matrix accepts
+_MIN_SERIES_LENGTH = 3
 
 
 @dataclass(frozen=True)
@@ -141,8 +143,8 @@ def correlation_matrix(si_series: dict[str, np.ndarray]) -> np.ndarray:
     """Pearson correlation of the SI time series, symmetric with unit diagonal."""
     names = list(si_series)
     data = np.array([np.asarray(si_series[n], dtype=float) for n in names])
-    if data.shape[1] < 3:
-        raise SensitivityError("series must have length >= 3")
+    if data.shape[1] < _MIN_SERIES_LENGTH:
+        raise SensitivityError(f"series must have length >= {_MIN_SERIES_LENGTH}")
     for name, row in zip(names, data):
         if _is_constant(row):
             raise SensitivityError(f"series for {name} is constant")
@@ -162,11 +164,15 @@ def rank_parameters(p: ParameterSet, grid=None,
     lists parameters whose aggregate moves by 1% or more when the finite
     difference step is halved. Zero-valued parameters and parameters with
     a constant SI series are left out of the ranking and the correlation
-    and listed in ``skipped``.
+    and listed in ``skipped``. The grid needs at least 3 times, which the
+    correlation matrix needs; a shorter one is refused before any run.
     """
     _check_rel_step(rel_step)
     integration = integration or IntegrationConfig()
     grid = _as_grid(grid, integration)
+    if len(grid) < _MIN_SERIES_LENGTH:
+        raise SensitivityError(f"rank_parameters needs a grid of at least "
+                               f"{_MIN_SERIES_LENGTH} times, got {len(grid)}")
     baseline = _cortisol_on_grid(p, grid, integration)
     if np.any(baseline == 0):
         raise SensitivityError("baseline cortisol is zero on the grid")

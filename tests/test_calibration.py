@@ -50,6 +50,14 @@ class TestFitProblem:
             FitProblem(base=params, free_names=("k1",),
                        lower=np.array([1.0]), upper=np.array([0.5]))
 
+    @pytest.mark.parametrize("lower, upper", [
+        (float("nan"), 1.0), (0.1, float("inf")), (0.1, float("nan")),
+        (-float("inf"), 1.0)])
+    def test_non_finite_bounds_refused(self, params, lower, upper):
+        # an infinite upper bound gave random starts of inf and nan
+        with pytest.raises(FitError, match="finite"):
+            FitProblem(base=params, free_names=("k1",),
+                       lower=np.array([lower]), upper=np.array([upper]))
 
     @pytest.mark.parametrize("w_acth, w_cortisol", [
         (-1.0, 1.0), (float("nan"), 1.0), (1.0, float("inf")), (0.0, 0.0)])
@@ -160,6 +168,18 @@ class TestFit:
             fit(prob, obs, init=np.array([1.0]))
         with pytest.raises(FitError, match="seed"):
             fit(prob, obs, seed=-1)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_init_refused_before_evaluating(self, prob, obs, params, bad):
+        # a nan init spent the whole budget on PENALTY and ended in
+        # ModelDomainError
+        init = np.array([getattr(params, n) for n in prob.free_names])
+        init[2] = bad
+        seen = []
+        with pytest.raises(FitError, match="init"):
+            fit(prob, obs, init=init, budget=5, n_starts=1,
+                on_evaluate=lambda x, v: seen.append(v))
+        assert seen == []
 
     def test_unused_starts_are_never_drawn(self, prob, obs):
         # one evaluation runs one start; the other starts must cost nothing

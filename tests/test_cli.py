@@ -208,8 +208,8 @@ class TestBurnInWarning:
     """A burn-in that reaches its cap unconverged is named on stderr; the
     exit code stays 0."""
 
-    SLOW = "model.h3 = 0.00105\n"   # ends its 10-day burn-in at residual 24.5
-    WARNING = "warning: burn-in reached its 10-day cap unconverged (residual 24.5 > 1)\n"
+    SLOW = "model.h3 = 0.00105\n"   # ends its 10-day burn-in at residual 24.0
+    WARNING = "warning: burn-in reached its 10-day cap unconverged (residual 24 > 1)\n"
 
     @pytest.mark.parametrize("command, extra", [
         ("simulate", ()),
@@ -255,6 +255,18 @@ class TestExitCodes:
         cfg = write_cfg(tmp_path, "model.not_a_param = 1\n")
         assert run("simulate", "--config", str(cfg),
                    "--out", str(tmp_path / "o")) == EXIT_INPUT
+
+    @pytest.mark.parametrize("command, text", [
+        # each passed parse time; daylight exited 0 with it in its manifest
+        ("daylight", "fit.w_acth = -1\n"),
+        ("daylight", "fit.lower_scale = 20\n"),
+        # a 2-time grid, which no correlation matrix accepts
+        ("sensitivity", "sens.grid_dt_min = 1440\n")])
+    def test_unusable_settings_refused(self, tmp_path, command, text):
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "o"
+        assert run(command, "--config", str(cfg), "--out", str(out)) == EXIT_INPUT
+        assert not (out / "manifest.txt").exists()
 
     def test_numerical_failure(self, tmp_path):
         # absurd tolerances force a step-size underflow

@@ -29,7 +29,7 @@ def digest(data: bytes) -> str:
 # case: (config text, command and its arguments, {output file: digest})
 GOLDEN_FILES = {
     "simulate-adaptive": ("", ("simulate",), {
-        "trajectory.csv": "e0b167567649a4779f70c97f5b65193865ca603fe6d965fbcf454dec62f9934a",
+        "trajectory.csv": "6bbb7ffe634c87d56fa4ce5550a639a19e831c984aee62283afc42db695a78b5",
         "manifest.txt": "e82e219eff8853e189ddc6db9f094d013c024530bafedac8cd1be213af25e06b",
     }),
     "simulate-fixed": (
@@ -89,7 +89,7 @@ def test_burned_in_state_unchanged():
     # the burn-in records nothing, so dense output leaves its steps alone
     states = integrate(IntegrationConfig(t_end=0.0), ParameterSet()).states
     assert digest(states.tobytes()) == (
-        "ded4bf51e5ad2e01390516955721cccde90262f4ac86af78089caeeab4ce0519")
+        "bb8c248daf65d7d40266cf4b3b6903b544811769a1c3111afa0c6855148736c7")
 
 
 def test_fixed_batch_members_equal_their_own_runs():
@@ -125,4 +125,4 @@ def test_fit_unchanged():
     summary = repr((result.history, result.evaluations, result.converged,
                     result.fitted.k4, result.fitted.k5, result.objective_value))
     assert digest(b"".join(seen) + summary.encode()) == (
-        "3ff0755135156be40c0cbe7f8914e71840481eef12b9b89517cb0238db3a127b")
+        "0da12b0477eac49e90ba027c4570a3ca77807dc3e749617685e44ec26fffd538")

@@ -173,6 +173,20 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=message):
             parse_config(write(tmp_path, "c.cfg", text))
 
+    @pytest.mark.parametrize("text", [
+        "fit.w_acth = -1\n", "fit.w_acth = 0\nfit.w_cortisol = 0\n"])
+    def test_weights_checked_as_fit_problem_does(self, tmp_path, text):
+        # a negative weight passed parse time and reached a manifest
+        with pytest.raises(ConfigError, match="fit.weights must be finite and >= 0"):
+            parse_config(write(tmp_path, "c.cfg", text))
+
+    @pytest.mark.parametrize("text", [
+        "fit.lower_scale = 20\n", "fit.lower_scale = 0\n",
+        "fit.lower_scale = -1\n", "fit.upper_scale = 0.1\n"])
+    def test_bound_scales_must_be_ordered(self, tmp_path, text):
+        with pytest.raises(ConfigError, match="0 < lower_scale < upper_scale"):
+            parse_config(write(tmp_path, "c.cfg", text))
+
     def test_grid_spacing_must_be_positive(self, tmp_path):
         for value in ("0", "-10"):
             with pytest.raises(ConfigError, match="grid_dt_min"):

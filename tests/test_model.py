@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from hpa_dynamics import (Derivatives, HormoneState, PARAMETER_NAMES,
                           ParameterSet, ModelDomainError, crh_feedback_factor,
                           daylight, hill, rhs, steady_state_open_loop)
-from hpa_dynamics.model import ParameterBatch, _rhs, _rhs_batch
+from hpa_dynamics.model import ParameterBatch, _rhs
 
 finite_pos = st.floats(min_value=1e-6, max_value=1e6,
                        allow_nan=False, allow_infinity=False)
@@ -75,6 +75,14 @@ class TestHill:
 
     def test_zero(self):
         assert hill(0.0, 1.12, 3.0) == 0.0
+        assert hill(-0.0, 1.12, 3.0) == 0.0
+
+    def test_subnormal(self):
+        # K/x overflows: the response is 0, within x/K of the exact value
+        x = 5e-324
+        assert hill(x, 1.12, 3.0) == 0.0
+        assert 0.0 <= hill(x, 1.0, 1.0) <= x
+        assert hill(1e-310, 1e-10, 1.0) == pytest.approx(1e-300, rel=1e-12)
 
     def test_known_value(self):
         # x=2, K=1, n=3 -> 8/9
@@ -239,13 +247,16 @@ class TestRhsBatch:
                 sets = [random_parameter_set(rng, clamp_production)
                         for _ in range(16)]
                 R, A, C = rng.uniform(0, 5, size=(3, 16))
-                A[::4] = 0.0
-                C[::3] = 0.0
+                # zero, negative zero and negative Hill arguments: both
+                # clamp them to 0
+                A[::4], A[1::4], A[2::4] = 0.0, -0.0, -1e-3 * A[2::4]
+                C[::5], C[1::5], C[2::5] = 0.0, -0.0, -1e-3 * C[2::5]
                 t = rng.uniform(0, 3000)
                 with np.errstate(divide="ignore", over="ignore"):
-                    got = _rhs_batch(t, R, A, C, ParameterBatch(sets), d_const)
+                    got = _rhs(t, R, A, C, ParameterBatch(sets), d_const)
                 for i, p in enumerate(sets):
-                    want = _rhs(t, R[i], A[i], C[i], p, d_const)
+                    # Python floats, as a single run passes them
+                    want = _rhs(t, float(R[i]), float(A[i]), float(C[i]), p, d_const)
                     removal = (p.h1 * R[i], p.h2 * A[i], p.h3 * C[i])
                     for j in range(3):
                         scale = abs(want[j] + removal[j]) + abs(removal[j])

@@ -258,6 +258,26 @@ class TestGridOrder:
             rank_parameters(params, grid=grid, integration=SHORT_CFG)
 
 
+class TestShortGrid:
+    """The correlation matrix needs 3 grid times: rank_parameters refuses a
+    shorter grid before it integrates anything; si_timeseries takes one."""
+
+    @pytest.mark.parametrize("grid", [[60.0], [0.0, 60.0]])
+    def test_rank_parameters_refuses_before_integrating(self, params, grid,
+                                                        monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("integrated before checking the grid")
+
+        monkeypatch.setattr(sensitivity, "integrate", no_run)
+        monkeypatch.setattr(sensitivity, "integrate_batch", no_run)
+        with pytest.raises(SensitivityError, match="at least 3 times"):
+            rank_parameters(params, grid=grid, integration=SHORT_CFG)
+
+    def test_si_timeseries_takes_one_time(self, params):
+        si = si_timeseries(params, "h3", grid=[60.0], integration=SHORT_CFG)
+        assert si.shape == (1,) and np.isfinite(si[0])
+
+
 class TestParallel:
     def test_worker_count_env(self, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "3")
