@@ -21,10 +21,35 @@ from .model import PARAMETER_NAMES, ParameterSet
 #: the optimizer can route around bad regions instead of aborting.
 PENALTY = 1e9
 
-DEFAULT_FREE = ("k1", "k2", "k3", "k4", "k5")
 OBJECTIVE_KINDS = ("sum_mape", "sum_squares")
 # a start has converged once its simplex is this narrow relative to its best vertex
 _DIAM_TOL = 1e-6
+
+
+@dataclass(frozen=True)
+class FitSettings:
+    """A fit's settings as a config file gives them, bounds as multiples of
+    the base values. ``FitProblem`` and ``fit`` read their defaults from
+    here, and a value that either would refuse is refused here too."""
+
+    free: tuple[str, ...] = ("k1", "k2", "k3", "k4", "k5")
+    objective: str = "sum_mape"
+    w_acth: float = 1.0
+    w_cortisol: float = 1.0
+    lower_scale: float = 0.1
+    upper_scale: float = 10.0
+    budget: int = 5000
+    seed: int = 0
+    n_starts: int = 5
+
+    def __post_init__(self):
+        _check_problem(self.free, self.objective, self.w_acth, self.w_cortisol)
+        # written so that a nan scale fails it too
+        if not 0 < self.lower_scale < self.upper_scale < np.inf:
+            raise FitError("lower_scale and upper_scale must be finite and satisfy 0 < "
+                           f"lower_scale < upper_scale, got {self.lower_scale} and "
+                           f"{self.upper_scale}")
+        _check_fit_args(self.budget, self.seed, self.n_starts)
 
 
 @dataclass(frozen=True)
@@ -32,25 +57,21 @@ class FitProblem:
     """What to fit: free parameters, bounds, fixed base values, objective."""
 
     base: ParameterSet = field(default_factory=ParameterSet)
-    free_names: tuple[str, ...] = DEFAULT_FREE
-    lower: np.ndarray | None = None   # default: 0.1x base value
-    upper: np.ndarray | None = None   # default: 10x base value
-    objective_kind: str = "sum_mape"  # one of OBJECTIVE_KINDS
-    w_acth: float = 1.0
-    w_cortisol: float = 1.0
+    free_names: tuple[str, ...] = FitSettings.free
+    lower: np.ndarray | None = None   # default: FitSettings.lower_scale x base value
+    upper: np.ndarray | None = None   # default: FitSettings.upper_scale x base value
+    objective_kind: str = FitSettings.objective  # one of OBJECTIVE_KINDS
+    w_acth: float = FitSettings.w_acth
+    w_cortisol: float = FitSettings.w_cortisol
     integration: IntegrationConfig = field(default_factory=IntegrationConfig)
 
     def __post_init__(self):
-        if not self.free_names:
-            raise FitError("free_names must be nonempty")
-        for name in self.free_names:
-            if name not in PARAMETER_NAMES:
-                raise FitError(f"unknown free parameter {name!r}")
+        _check_problem(self.free_names, self.objective_kind, self.w_acth, self.w_cortisol)
         base_vals = np.array([getattr(self.base, n) for n in self.free_names])
         lower = (np.asarray(self.lower, dtype=float) if self.lower is not None
-                 else 0.1 * base_vals)
+                 else FitSettings.lower_scale * base_vals)
         upper = (np.asarray(self.upper, dtype=float) if self.upper is not None
-                 else 10.0 * base_vals)
+                 else FitSettings.upper_scale * base_vals)
         if lower.shape != (len(self.free_names),) or upper.shape != lower.shape:
             raise FitError("bounds must match the number of free parameters")
         # written so that a nan bound fails it too
@@ -58,9 +79,6 @@ class FitProblem:
             raise FitError("bounds must be finite and satisfy 0 < lower < upper")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
-        if self.objective_kind not in OBJECTIVE_KINDS:
-            raise FitError(f"unknown objective kind {self.objective_kind!r}")
-        _check_weights(self.w_acth, self.w_cortisol)
 
     def assemble(self, candidate) -> ParameterSet:
         updates = {n: float(v) for n, v in zip(self.free_names, candidate)}
@@ -163,9 +181,14 @@ def _nelder_mead(f, x0, lower, upper):
                     fvals[i] = f(simplex[i])
 
 
-def _check_weights(w_acth, w_cortisol):
-    """``FitProblem``'s rule on its weights; ``parse_config`` applies it to
-    the ``fit.w_*`` keys."""
+def _check_problem(free, objective_kind, w_acth, w_cortisol):
+    """The rules that ``FitProblem`` and ``FitSettings`` share: distinct
+    parameter names to free, a known objective and usable weights."""
+    if not free or len(set(free)) < len(free) or not set(free) <= set(PARAMETER_NAMES):
+        raise FitError(f"free: need distinct parameter names, got {free}")
+    if objective_kind not in OBJECTIVE_KINDS:
+        raise FitError(f"objective must be {' or '.join(OBJECTIVE_KINDS)}, "
+                       f"got {objective_kind!r}")
     weights = (w_acth, w_cortisol)
     if not (all(np.isfinite(w) and w >= 0 for w in weights) and max(weights) > 0):
         raise FitError("weights must be finite and >= 0, and one of them > 0, got "
@@ -173,8 +196,8 @@ def _check_weights(w_acth, w_cortisol):
 
 
 def _check_fit_args(budget, seed, n_starts):
-    """``fit``'s rules on its budget, seed and starts; ``parse_config`` applies
-    them to the ``fit.*`` keys."""
+    """``fit``'s rules on its budget, seed and starts, which ``FitSettings``
+    applies too."""
     if budget < 1:
         raise FitError(f"budget must be >= 1, got {budget}")
     if seed < 0:
@@ -183,8 +206,9 @@ def _check_fit_args(budget, seed, n_starts):
         raise FitError(f"n_starts must be >= 1, got {n_starts}")
 
 
-def fit(prob: FitProblem, obs: ObservationSeries, init=None, budget: int = 5000,
-        seed: int = 0, n_starts: int = 5, on_evaluate=None) -> FitResult:
+def fit(prob: FitProblem, obs: ObservationSeries, init=None,
+        budget: int = FitSettings.budget, seed: int = FitSettings.seed,
+        n_starts: int = FitSettings.n_starts, on_evaluate=None) -> FitResult:
     """Minimize the objective with deterministic multi-start Nelder-Mead.
 
     Starts are the supplied init plus ``n_starts - 1`` log-uniform draws

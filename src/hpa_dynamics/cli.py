@@ -95,7 +95,6 @@ def cmd_validate(args) -> int:
 def cmd_fit(args) -> int:
     config = _load_config(args)
     obs = parse_observations(args.data)
-    out = _out_dir(config)
     fs = config.fit
     base_vals = np.array([getattr(config.params, n) for n in fs.free])
     prob = FitProblem(base=config.params, free_names=fs.free,
@@ -104,6 +103,7 @@ def cmd_fit(args) -> int:
                       objective_kind=fs.objective,
                       w_acth=fs.w_acth, w_cortisol=fs.w_cortisol,
                       integration=config.integration)
+    out = _out_dir(config)
     result = run_fit(prob, obs, budget=fs.budget, seed=fs.seed,
                      n_starts=fs.n_starts)
     rows = [(name, getattr(result.fitted, name)) for name in fs.free]
@@ -120,11 +120,10 @@ def cmd_fit(args) -> int:
 
 def cmd_sensitivity(args) -> int:
     config = _load_config(args)
-    out = _out_dir(config)
     integ = config.integration
-    grid = _output_grid(integ.t0, integ.t0 + 1440.0, config.sens.grid_dt_min)
-    report = rank_parameters(config.params, grid=grid,
+    report = rank_parameters(config.params, grid=config.sens.grid(integ),
                              rel_step=config.sens.rel_step, integration=integ)
+    out = _out_dir(config)
     rank_of = {name: i + 1 for i, name in enumerate(report.ranking)}
     write_csv(out / "sensitivity.csv", ["parameter", "si_aggregate", "rank"],
               ((n, report.si_aggregate[n], rank_of[n])

@@ -93,7 +93,7 @@ class IntegrationConfig:
         if not self.output_dt > 0:
             raise IntegrationError(f"output_dt must be > 0, got {self.output_dt}")
         if self.mode not in MODES:
-            raise IntegrationError(f"unknown mode {self.mode!r}")
+            raise IntegrationError(f"mode must be {' or '.join(MODES)}, got {self.mode!r}")
 
     def covering(self, times) -> "IntegrationConfig":
         """This config with its window widened to cover every time in ``times``."""

@@ -17,33 +17,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibration import DEFAULT_FREE, OBJECTIVE_KINDS, _check_fit_args, _check_weights
-from .errors import ConfigError, FitError, HpaError, ObservationError
-from .integrator import MODES, IntegrationConfig
+from .calibration import FitSettings
+from .errors import ConfigError, HpaError, ObservationError
+from .integrator import IntegrationConfig
 from .metrics import ObservationSeries
 from .model import PARAMETER_NAMES, ParameterSet
-from .sensitivity import DEFAULT_REL_STEP, _check_rel_step
+from .sensitivity import SensSettings
 
 OBS_HEADER = ["time_min", "acth_pg_ml", "cortisol_ug_dl"]
-
-
-@dataclass(frozen=True)
-class FitSettings:
-    free: tuple[str, ...] = DEFAULT_FREE
-    objective: str = "sum_mape"
-    w_acth: float = 1.0
-    w_cortisol: float = 1.0
-    lower_scale: float = 0.1
-    upper_scale: float = 10.0
-    budget: int = 5000
-    seed: int = 0
-    n_starts: int = 5
-
-
-@dataclass(frozen=True)
-class SensSettings:
-    rel_step: float = DEFAULT_REL_STEP
-    grid_dt_min: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -82,7 +63,8 @@ SCHEMA: dict[str, tuple[str | None, str]] = {
     "out.dir": (None, "out_dir"),
 }
 
-_CHOICES = {"integrate.mode": MODES, "fit.objective": OBJECTIVE_KINDS}
+#: the key prefix of each RunConfig section, which names its errors
+_PREFIX = {section: key.split(".")[0] for key, (section, _) in SCHEMA.items()}
 
 
 def _value(config: RunConfig, key: str):
@@ -93,10 +75,6 @@ def _value(config: RunConfig, key: str):
 def _parse_value(key, raw, line):
     """Parse raw text by the type of the key's default value."""
     default = _value(_DEFAULTS, key)
-    if key in _CHOICES:
-        if raw not in _CHOICES[key]:
-            raise ConfigError(f"{key}: must be {' or '.join(_CHOICES[key])}", line)
-        return raw
     if isinstance(default, bool):
         low = raw.lower()
         if low in ("true", "1", "yes"):
@@ -118,10 +96,7 @@ def _parse_value(key, raw, line):
             raise ConfigError(f"{key}: must be finite, got {raw!r}", line)
         return v
     if isinstance(default, tuple):  # parameter names
-        names = tuple(n.strip() for n in raw.split(",") if n.strip())
-        if not names or any(n not in PARAMETER_NAMES for n in names):
-            raise ConfigError(f"{key}: invalid parameter list {raw!r}", line)
-        return names
+        return tuple(n.strip() for n in raw.split(",") if n.strip())
     return raw
 
 
@@ -168,28 +143,13 @@ def parse_config(path=None, overrides=()) -> RunConfig:
         section, attr = SCHEMA[key]
         updates.setdefault(section, {})[attr] = _parse_value(key, raw, lineno)
 
-    top = updates.pop(None, {})
-    try:
-        config = replace(_DEFAULTS, **top, **{
-            section: replace(getattr(_DEFAULTS, section), **kw)
-            for section, kw in updates.items()})
-    except HpaError as exc:
-        raise ConfigError(str(exc))
-    fs = config.fit
-    try:   # each message names its section, as in "fit.seed must be >= 0"
-        _check_fit_args(fs.budget, fs.seed, fs.n_starts)
-        _check_weights(fs.w_acth, fs.w_cortisol)
-        _check_rel_step(config.sens.rel_step)
-    except HpaError as exc:
-        raise ConfigError(f"{'fit' if isinstance(exc, FitError) else 'sens'}.{exc}")
-    # FitProblem's bounds are these multiples of the base values
-    if not 0 < fs.lower_scale < fs.upper_scale:
-        raise ConfigError("fit.lower_scale and fit.upper_scale must satisfy "
-                          f"0 < lower_scale < upper_scale, got {fs.lower_scale} "
-                          f"and {fs.upper_scale}")
-    if not config.sens.grid_dt_min > 0:
-        raise ConfigError("sens.grid_dt_min must be > 0")
-    return config
+    top = updates.pop(None, {})   # RunConfig's own fields, then its sections
+    for section, kw in updates.items():
+        try:   # each section checks itself; "fit." + "seed must be >= 0, got -1"
+            top[section] = replace(getattr(_DEFAULTS, section), **kw)
+        except HpaError as exc:
+            raise ConfigError(f"{_PREFIX[section]}.{exc}")
+    return replace(_DEFAULTS, **top)
 
 
 def config_lines(config: RunConfig) -> list[str]:

@@ -27,13 +27,32 @@ from .integrator import IntegrationConfig, _output_grid, integrate, integrate_ba
 from .model import PARAMETER_NAMES, ParameterSet
 from .parallel import map_ordered
 
-DEFAULT_REL_STEP = 1e-3
 # a series whose spread is at most this fraction of its largest magnitude
 # is constant up to rounding (SI(k5) of the feedback-free model is 1 with
 # a spread of about 1e-12)
 _CONSTANT_SPREAD = 1e-9
 # fewest points of an SI series that the correlation matrix accepts
 _MIN_SERIES_LENGTH = 3
+
+
+@dataclass(frozen=True)
+class SensSettings:
+    """A report's settings as a config file gives them: the finite-difference
+    step and the spacing (min) of the one-day grid. ``rank_parameters`` and
+    ``si_timeseries`` read their default step and grid from here."""
+
+    rel_step: float = 1e-3
+    grid_dt_min: float = 1.0
+
+    def __post_init__(self):
+        _check_rel_step(self.rel_step)
+        if not self.grid_dt_min > 0:
+            raise SensitivityError(f"grid_dt_min must be > 0, got {self.grid_dt_min}")
+
+    def grid(self, integration: IntegrationConfig) -> np.ndarray:
+        """The one-day grid from ``integration.t0``, ``grid_dt_min`` apart."""
+        return np.asarray(_output_grid(integration.t0, integration.t0 + 1440.0,
+                                       self.grid_dt_min))
 
 
 @dataclass(frozen=True)
@@ -57,11 +76,11 @@ class SensitivityReport:
 
 
 def _as_grid(grid, integration: IntegrationConfig):
-    """The output grid as an array: one minute apart over the day from
-    ``integration.t0`` by default; a given grid must be non-empty and
-    strictly increasing, as its series are reported in its order."""
+    """The output grid as an array, by default that of ``SensSettings()``;
+    a given grid must be non-empty and strictly increasing, as its series
+    are reported in its order."""
     if grid is None:
-        return np.asarray(_output_grid(integration.t0, integration.t0 + 1440.0, 1.0))
+        return SensSettings().grid(integration)
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0 or not np.all(np.diff(grid) > 0):
         raise SensitivityError("grid must be a non-empty, strictly increasing "
@@ -95,7 +114,7 @@ def _check_rel_step(rel_step):
 
 
 def si_timeseries(p: ParameterSet, name: str, grid=None,
-                  rel_step: float = DEFAULT_REL_STEP,
+                  rel_step: float = SensSettings.rel_step,
                   integration: IntegrationConfig | None = None) -> np.ndarray:
     """Central-difference SI(t) of cortisol with respect to one parameter.
 
@@ -155,7 +174,7 @@ def correlation_matrix(si_series: dict[str, np.ndarray]) -> np.ndarray:
 
 
 def rank_parameters(p: ParameterSet, grid=None,
-                    rel_step: float = DEFAULT_REL_STEP,
+                    rel_step: float = SensSettings.rel_step,
                     integration: IntegrationConfig | None = None) -> SensitivityReport:
     """Sensitivity report over the 19 parameters.
 

@@ -42,8 +42,10 @@ class TestFitProblem:
         assert p.h1 == prob.base.h1  # fixed parameters untouched
 
     def test_unknown_free_name(self, params):
-        with pytest.raises(FitError):
-            FitProblem(base=params, free_names=("k1", "bogus"))
+        # a repeated name passed and fitted one parameter as two
+        for free_names in (("k1", "bogus"), ("k5", "k5")):
+            with pytest.raises(FitError):
+                FitProblem(base=params, free_names=free_names)
 
     def test_bad_bounds(self, params):
         with pytest.raises(FitError):

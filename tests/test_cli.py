@@ -261,12 +261,16 @@ class TestExitCodes:
         ("daylight", "fit.w_acth = -1\n"),
         ("daylight", "fit.lower_scale = 20\n"),
         # a 2-time grid, which no correlation matrix accepts
-        ("sensitivity", "sens.grid_dt_min = 1440\n")])
+        ("sensitivity", "sens.grid_dt_min = 1440\n"),
+        # bounds of 0 x the base value, which FitProblem refuses
+        ("fit", "model.phi = 0\nfit.free = phi\n")])
     def test_unusable_settings_refused(self, tmp_path, command, text):
         cfg = write_cfg(tmp_path, text)
         out = tmp_path / "o"
-        assert run(command, "--config", str(cfg), "--out", str(out)) == EXIT_INPUT
+        data = ("--data", DATA) if command == "fit" else ()
+        assert run(command, "--config", str(cfg), "--out", str(out), *data) == EXIT_INPUT
         assert not (out / "manifest.txt").exists()
+        assert not out.exists()
 
     def test_numerical_failure(self, tmp_path):
         # absurd tolerances force a step-size underflow

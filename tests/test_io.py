@@ -1,5 +1,7 @@
 """Config parsing, observation CSV ingestion and canonical serialization."""
 
+import inspect
+import re
 import tempfile
 from pathlib import Path
 
@@ -7,12 +9,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hpa_dynamics.errors import ConfigError, ObservationError
+from hpa_dynamics import (FitProblem, IntegrationConfig, fit, rank_parameters,
+                          sensitivity, si_timeseries)
+from hpa_dynamics.calibration import FitSettings
+from hpa_dynamics.errors import (ConfigError, FitError, ObservationError,
+                                 SensitivityError)
 from hpa_dynamics.io import (OBS_HEADER, SCHEMA, RunConfig, config_lines, fmt,
                              parse_config, parse_observations, write_csv,
                              write_manifest)
+from hpa_dynamics.sensitivity import SensSettings
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+# the default of every key, as the manifest writes it
+DEFAULTS = dict(line.split(" = ", 1) for line in config_lines(RunConfig()))
 
 # every schema key at a value other than its default
 NON_DEFAULT = """\
@@ -125,8 +134,9 @@ class TestParseConfig:
             parse_config(write(tmp_path, "c.cfg", "integrate.mode = euler\n"))
 
     def test_bad_free_list(self, tmp_path):
-        with pytest.raises(ConfigError):
-            parse_config(write(tmp_path, "c.cfg", "fit.free = k1,bogus\n"))
+        for names in ("k1,bogus", "k5,k5"):
+            with pytest.raises(ConfigError, match="fit.free: "):
+                parse_config(write(tmp_path, "c.cfg", f"fit.free = {names}\n"))
 
     def test_run_keys_ignored(self, tmp_path):
         text = "run.command = simulate\nrun.version = 0.1.0\nmodel.k5 = 0.005\n"
@@ -203,6 +213,44 @@ class TestParseConfig:
         section = text.split("### Config files", 1)[1].split("\n#", 1)[0]
         missing = [key for key in SCHEMA if f"`{key}`" not in section]
         assert not missing, f"README 'Config files' lacks {missing}"
+        # a table row gives one default for all its keys, or one per key
+        documented = {}
+        for row in section.splitlines():
+            if row.startswith("| `"):
+                keys_cell, default_cell = row.split(" | ")[:2]
+                keys = re.findall(r"`([^`]+)`", keys_cell)
+                cells = default_cell.split(", ")
+                if len(cells) != len(keys):
+                    cells = [default_cell] * len(keys)
+                documented.update(zip(keys, (cell.strip("`") for cell in cells)))
+        assert set(documented) == {key for key in SCHEMA if not key.startswith("model.")}
+        assert documented == {key: DEFAULTS[key] for key in documented}
+
+    def test_defaults_are_the_library_defaults(self):
+        prob = FitProblem()
+        base = np.array([getattr(prob.base, n) for n in prob.free_names])
+        fit_args = inspect.signature(fit).parameters
+        library = {"fit.free": prob.free_names, "fit.objective": prob.objective_kind,
+                   "fit.w_acth": prob.w_acth, "fit.w_cortisol": prob.w_cortisol,
+                   **{f"fit.{name}": fit_args[name].default
+                      for name in ("budget", "seed", "n_starts")}}
+        for key, value in library.items():
+            assert DEFAULTS[key] == fmt(value), key
+        for function in (rank_parameters, si_timeseries):
+            rel_step = inspect.signature(function).parameters["rel_step"].default
+            assert DEFAULTS["sens.rel_step"] == fmt(rel_step)
+        assert np.array_equal(prob.lower, float(DEFAULTS["fit.lower_scale"]) * base)
+        assert np.array_equal(prob.upper, float(DEFAULTS["fit.upper_scale"]) * base)
+        grid = sensitivity._as_grid(None, IntegrationConfig())
+        assert set(np.diff(grid)) == {float(DEFAULTS["sens.grid_dt_min"])}
+
+    def test_settings_refuse_what_their_owners_refuse(self):
+        # RunConfig(fit=FitSettings(seed=-1)) once reached a manifest that
+        # parse_config refused
+        with pytest.raises(FitError, match="seed must be >= 0"):
+            FitSettings(seed=-1)
+        with pytest.raises(SensitivityError, match="grid_dt_min must be > 0"):
+            SensSettings(grid_dt_min=0)
 
     # a line is a known key with fuzzed value, or fuzzed text
     _LINES = st.one_of(
