@@ -40,7 +40,9 @@ def _out_dir(config: RunConfig) -> Path:
 
 
 def _warn_unconverged(traj):
-    """One stderr line when the burn-in reached its cap unconverged."""
+    """One stderr line when the burn-in reached its cap unconverged; ``traj``
+    is a ``Trajectory`` or a ``SensitivityReport``, which carries its
+    baseline's burn-in figures."""
     if traj.burn_in_residual > 1.0:
         print(f"warning: burn-in reached its {traj.burn_in_days}-day cap "
               f"unconverged (residual {traj.burn_in_residual:.3g} > 1)",
@@ -123,6 +125,7 @@ def cmd_sensitivity(args) -> int:
     integ = config.integration
     report = rank_parameters(config.params, grid=config.sens.grid(integ),
                              rel_step=config.sens.rel_step, integration=integ)
+    _warn_unconverged(report)
     out = _out_dir(config)
     rank_of = {name: i + 1 for i, name in enumerate(report.ranking)}
     write_csv(out / "sensitivity.csv", ["parameter", "si_aggregate", "rank"],

@@ -63,8 +63,10 @@ SCHEMA: dict[str, tuple[str | None, str]] = {
     "out.dir": (None, "out_dir"),
 }
 
-#: the key prefix of each RunConfig section, which names its errors
+#: the key prefix of each RunConfig section, and the key of each (section,
+#: attribute): together they name a section's errors
 _PREFIX = {section: key.split(".")[0] for key, (section, _) in SCHEMA.items()}
+_KEY = {place: key for key, place in SCHEMA.items()}
 
 
 def _value(config: RunConfig, key: str):
@@ -135,6 +137,7 @@ def parse_config(path=None, overrides=()) -> RunConfig:
     entries = list(_config_entries(path)) if path is not None else []
     entries += [(key, raw.strip(), None) for key, raw in overrides]
     updates: dict = {}
+    lines: dict = {}   # (section, attribute) -> line of the entry that set it
     for key, raw, lineno in entries:
         if key not in SCHEMA:
             raise ConfigError(f"unknown key {key!r}", lineno)
@@ -142,14 +145,28 @@ def parse_config(path=None, overrides=()) -> RunConfig:
             raise ConfigError(f"{key}: empty value", lineno)
         section, attr = SCHEMA[key]
         updates.setdefault(section, {})[attr] = _parse_value(key, raw, lineno)
+        lines[section, attr] = lineno
 
     top = updates.pop(None, {})   # RunConfig's own fields, then its sections
     for section, kw in updates.items():
-        try:   # each section checks itself; "fit." + "seed must be >= 0, got -1"
+        try:   # each section checks itself
             top[section] = replace(getattr(_DEFAULTS, section), **kw)
         except HpaError as exc:
-            raise ConfigError(f"{_PREFIX[section]}.{exc}")
+            raise _section_error(section, str(exc), lines)
     return replace(_DEFAULTS, **top)
+
+
+def _section_error(section, message, lines) -> ConfigError:
+    """A section's refusal as a config error. A message that starts with an
+    attribute names its key, at the line of the entry that set it, if any:
+    integration's "dt must be > 0, got 0.0" becomes "line 3:
+    integrate.dt_min must be > 0, got 0.0". Any other message gets the
+    section's prefix: "fit." + "weights must be finite and >= 0"."""
+    attr = message.split(" ", 1)[0]
+    key = _KEY.get((section, attr))
+    if key is None:
+        return ConfigError(f"{_PREFIX[section]}.{message}")
+    return ConfigError(key + message[len(attr):], lines.get((section, attr)))
 
 
 def config_lines(config: RunConfig) -> list[str]:

@@ -215,9 +215,11 @@ class TestBurnInWarning:
         ("simulate", ()),
         ("validate", ("--data", DATA)),
         ("fit", ("--data", DATA)),
+        ("sensitivity", ()),
     ])
     def test_unconverged_burn_in_warns(self, tmp_path, capsys, command, extra):
-        cfg = write_cfg(tmp_path, self.SLOW + "fit.budget = 1\nfit.n_starts = 1\n")
+        cfg = write_cfg(tmp_path, self.SLOW + "fit.budget = 1\nfit.n_starts = 1\n"
+                        "sens.grid_dt_min = 60\n")
         out = tmp_path / "out"
         assert run(command, "--config", str(cfg), *extra, "--out", str(out)) == EXIT_OK
         assert capsys.readouterr().err == self.WARNING

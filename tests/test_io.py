@@ -183,6 +183,28 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=message):
             parse_config(write(tmp_path, "c.cfg", text))
 
+    @pytest.mark.parametrize("text, message", [
+        ("# step\nintegrate.dt_min = 0\n", "line 2: integrate.dt_min must be > 0, got 0.0"),
+        ("out.dir = a\nfit.seed = -1\n", "line 2: fit.seed must be >= 0, got -1"),
+        ("sens.grid_dt_min = 0\n", "line 1: sens.grid_dt_min must be > 0, got 0.0"),
+        ("model.k5 = -1\n", "line 1: model.k5 must be >= 0, got -1.0")])
+    def test_section_refusal_names_key_and_line(self, tmp_path, text, message):
+        # integrate.dt_min = 0 was reported as "integrate.dt must be > 0",
+        # and no section's refusal carried a line number
+        with pytest.raises(ConfigError) as info:
+            parse_config(write(tmp_path, "c.cfg", text))
+        assert str(info.value) == message
+
+    def test_section_refusal_of_a_flag_has_no_line(self, tmp_path):
+        # the flag overrides the file's valid seed, so no line set the value
+        path = write(tmp_path, "c.cfg", "fit.seed = 3\n")
+        for source, key, raw, message in (
+                (None, "integrate.dt_min", "0", "integrate.dt_min must be > 0, got 0.0"),
+                (path, "fit.seed", "-1", "fit.seed must be >= 0, got -1")):
+            with pytest.raises(ConfigError) as info:
+                parse_config(source, [(key, raw)])
+            assert str(info.value) == message
+
     @pytest.mark.parametrize("text", [
         "fit.w_acth = -1\n", "fit.w_acth = 0\nfit.w_cortisol = 0\n"])
     def test_weights_checked_as_fit_problem_does(self, tmp_path, text):

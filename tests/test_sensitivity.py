@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hpa_dynamics import (ConfigError, IntegrationConfig, ParameterSet,
+from hpa_dynamics import (ConfigError, HormoneState, IntegrationConfig, ParameterSet,
                           PARAMETER_NAMES, SensitivityError,
                           correlation_matrix, hill, rank_parameters,
                           si_timeseries)
@@ -174,25 +174,68 @@ class TestRankParameters:
 
     def test_one_batch_per_report(self, params, monkeypatch):
         # plus and minus copies at both step sizes share one batch, next to
-        # one scalar baseline run
-        batches, scalar_runs = [], []
+        # one scalar baseline run; the batch starts from the baseline's state
+        # at t0 and burns in one day only where the baseline settled on a day
+        batches, baselines = [], []
         real_batch, real_scalar = sensitivity.integrate_batch, sensitivity.integrate
 
         def counted_batch(config, sets, output_times=None):
-            batches.append(len(sets))
+            batches.append((config, len(sets)))
             return real_batch(config, sets, output_times=output_times)
 
         def counted_scalar(*args, **kwargs):
-            scalar_runs.append(1)
-            return real_scalar(*args, **kwargs)
+            baselines.append(real_scalar(*args, **kwargs))
+            return baselines[-1]
 
         monkeypatch.setattr(sensitivity, "integrate_batch", counted_batch)
         monkeypatch.setattr(sensitivity, "integrate", counted_scalar)
         p = params.with_values(k3=0.0)
-        report = rank_parameters(p, grid=SHORT_GRID, integration=SHORT_CFG)
-        assert batches == [4 * (len(PARAMETER_NAMES) - 1)]
-        assert len(scalar_runs) == 1
-        assert "zero" in dict(report.skipped)["k3"]
+        for grid, integration, seeded in (
+                # the default report: a converged baseline and a one-day grid
+                (None, IntegrationConfig(), True),
+                # a one-day grid whose span is 1440 only up to rounding
+                (np.arange(1000.7, 2440.8, 60.0), IntegrationConfig(), True),
+                # an unconverged baseline, and a converged one on a grid
+                # short of a day
+                (SHORT_GRID, SHORT_CFG, False),
+                (np.arange(0.0, 721.0, 60.0), IntegrationConfig(), False)):
+            batches.clear()
+            baselines.clear()
+            report = rank_parameters(p, grid=grid, integration=integration)
+            [(config, members)] = batches
+            [base] = baselines
+            assert members == 4 * (len(PARAMETER_NAMES) - 1)
+            assert "zero" in dict(report.skipped)["k3"]
+            assert (report.burn_in_days, report.burn_in_residual) == (
+                base.burn_in_days, base.burn_in_residual)
+            if seeded:
+                assert config.initial_state == HormoneState(*base.states[0])
+                assert config.burn_in == 1440.0
+            else:
+                assert config.initial_state is None
+                assert config.burn_in == integration.burn_in
+
+    def test_unsettled_seeded_batch_runs_the_full_burn_in(self, params, monkeypatch):
+        # a seeded batch whose recorded day fails the burn-in's test is
+        # dropped: the report is bit for bit the one from the full burn-in,
+        # which an unconverged baseline gets directly
+        grid = np.arange(0.0, 1441.0, 60.0)
+        real_scalar = sensitivity.integrate
+        monkeypatch.setattr(
+            sensitivity, "integrate", lambda *args, **kwargs: replace(
+                real_scalar(*args, **kwargs), burn_in_residual=np.inf))
+        full = rank_parameters(params, grid=grid)
+        monkeypatch.setattr(sensitivity, "integrate", real_scalar)
+        monkeypatch.setattr(sensitivity, "_day_change", lambda *args: np.inf)
+        fallback = rank_parameters(params, grid=grid)
+        assert fallback.burn_in_residual <= 1.0
+        assert fallback.ranking == full.ranking
+        assert fallback.fd_unstable == full.fd_unstable
+        assert fallback.skipped == full.skipped
+        assert fallback.si_aggregate == full.si_aggregate
+        assert np.array_equal(fallback.correlation, full.correlation)
+        for name in PARAMETER_NAMES:
+            assert np.array_equal(fallback.si_series[name], full.si_series[name])
 
     def test_feedback_free_skips_undefined_parameters(self, open_loop):
         report = rank_parameters(open_loop, grid=SHORT_GRID, integration=SHORT_CFG)
