@@ -205,6 +205,7 @@ class TestRankParameters:
             [(config, members)] = batches
             [base] = baselines
             assert members == 4 * (len(PARAMETER_NAMES) - 1)
+            assert (base.burn_in_residual > 1.0) == (integration is SHORT_CFG)
             assert "zero" in dict(report.skipped)["k3"]
             assert (report.burn_in_days, report.burn_in_residual) == (
                 base.burn_in_days, base.burn_in_residual)
