@@ -203,6 +203,18 @@ class TestSensitivity:
         corr = read_rows(out / "correlation.csv")
         assert len(corr) == 1 + 9 and len(corr[0]) == 1 + 9
 
+    def test_parameters_on_their_bound_have_no_row(self, tmp_path):
+        # a copy 0.1% below alpha = 1 or above phi = rho = 1 is no model: the
+        # report used to fail with "alpha must be >= 1, got 0.999"
+        cfg = write_cfg(tmp_path, "integrate.burn_in_min = 1440\n"
+                        "sens.grid_dt_min = 120\n"
+                        "model.alpha = 1\nmodel.phi = 1\nmodel.rho = 1\n")
+        out = tmp_path / "sens"
+        assert run("sensitivity", "--config", str(cfg), "--out", str(out)) == EXIT_OK
+        rows = read_rows(out / "sensitivity.csv")
+        assert len(rows) == 1 + 16
+        assert not {r[0] for r in rows[1:]} & {"alpha", "phi", "rho"}
+
 
 class TestBurnInWarning:
     """A burn-in that reaches its cap unconverged is named on stderr; the

@@ -1,0 +1,56 @@
+"""Cost ledger: the model RHS calls of each layer's default call.
+
+An RHS call is one call of ``integrator._rhs``, for one model or for a
+whole batch. A count moves only when the work a layer does changes: the
+steps taken, the burn-in days, the batch members' shared steps, or the
+evaluations of a fit. A change that means to move one updates its row and
+says why; one that does not must leave every row as it is.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from hpa_dynamics import (FitProblem, IntegrationConfig, fit, integrate, integrator,
+                          objective, rank_parameters, si_timeseries)
+from hpa_dynamics.io import parse_observations
+
+DATA = Path(__file__).resolve().parent.parent / "data" / "synthetic_observations.csv"
+
+
+def _start(prob):
+    return [getattr(prob.base, name) for name in prob.free_names]
+
+
+# (layer, call with the reference parameters and the shipped observations,
+# RHS calls)
+LEDGER = [
+    # a burn-in that converges on its second day, then one day on a 1-min grid
+    ("integrate", lambda p, obs: integrate(IntegrationConfig(), p), 7740),
+    ("integrate burn-in only",
+     lambda p, obs: integrate(IntegrationConfig(t_end=0.0), p), 5378),
+    # one baseline run and one 76-member batch
+    ("rank_parameters", lambda p, obs: rank_parameters(p), 12495),
+    # one baseline run and one 2-member batch
+    ("si_timeseries k2", lambda p, obs: si_timeseries(p, "k2"), 12476),
+    ("objective", lambda p, obs: objective(_start(FitProblem()), FitProblem(), obs),
+     7740),
+    # the benchmark's calibrate budget
+    ("fit budget 50", lambda p, obs: fit(FitProblem(), obs, budget=50), 439716),
+]
+
+
+@pytest.mark.parametrize("call, expected", [row[1:] for row in LEDGER],
+                         ids=[row[0] for row in LEDGER])
+def test_rhs_calls(params, monkeypatch, call, expected):
+    calls = 0
+    real = integrator._rhs
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(integrator, "_rhs", counted)
+    call(params, parse_observations(DATA))
+    assert calls == expected

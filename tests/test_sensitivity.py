@@ -29,6 +29,45 @@ def open_loop():
     return ParameterSet().feedback_free()
 
 
+@pytest.fixture
+def runs(monkeypatch):
+    """The scalar runs sensitivity makes, and the (config, member count) of
+    each batch, while the test runs."""
+    baselines, batches = [], []
+    real_scalar, real_batch = sensitivity.integrate, sensitivity.integrate_batch
+
+    def counted_scalar(*args, **kwargs):
+        baselines.append(real_scalar(*args, **kwargs))
+        return baselines[-1]
+
+    def counted_batch(config, sets, output_times=None):
+        batches.append((config, len(sets)))
+        return real_batch(config, sets, output_times=output_times)
+
+    monkeypatch.setattr(sensitivity, "integrate", counted_scalar)
+    monkeypatch.setattr(sensitivity, "integrate_batch", counted_batch)
+    return baselines, batches
+
+
+def one_baseline_one_batch(runs, members, seeded, integration):
+    """Check that one scalar baseline run and one batch of ``members`` copies
+    were made, the batch started from the baseline's state at t0 with a
+    one-day burn-in where ``seeded``; forget them and return the baseline."""
+    baselines, batches = runs
+    [(config, n)] = batches
+    [base] = baselines
+    assert n == members
+    if seeded:
+        assert config.initial_state == HormoneState(*base.states[0])
+        assert config.burn_in == 1440.0
+    else:
+        assert config.initial_state is None
+        assert config.burn_in == integration.burn_in
+    baselines.clear()
+    batches.clear()
+    return base
+
+
 class TestClosedFormOracles:
     def test_si_k5_is_plus_one(self, open_loop):
         si = si_timeseries(open_loop, "k5", grid=FROZEN_GRID, rel_step=1e-4,
@@ -78,6 +117,33 @@ class TestSiTimeseries:
         with pytest.raises(SensitivityError):
             si_timeseries(p, "k3", grid=FROZEN_GRID, integration=FROZEN_CFG)
 
+    @pytest.mark.parametrize("name", ["alpha", "phi", "rho"])
+    def test_copy_outside_domain_refused(self, params, runs, name):
+        # alpha >= 1 and phi, rho <= 1: at 1 a copy rel_step away is no
+        # model, and the refusal names the parameter before any run
+        with pytest.raises(SensitivityError, match=f"{name}: .*domain"):
+            si_timeseries(params.with_values(**{name: 1.0}), name)
+        assert runs == ([], [])
+
+    @pytest.mark.parametrize("grid, integration, seeded, names", [
+        # the default report: the seeded batch on a one-period grid
+        (None, IntegrationConfig(), True, ("k2", "gamma")),
+        # an unconverged baseline: the full burn-in from each member's start
+        (SHORT_GRID, SHORT_CFG, False, ("k5", "alpha"))],
+        ids=["default", "short"])
+    def test_is_the_report_series(self, params, report, runs, grid, integration,
+                                  seeded, names):
+        # one path: the series is the report's, up to the steps a two-member
+        # batch takes where the report's takes 76 members' (gamma is the
+        # worst at 2e-8; k2 was the worst of separately stepped runs, 5.5e-6)
+        if grid is not None:
+            report = rank_parameters(params, grid=grid, integration=integration)
+            one_baseline_one_batch(runs, 4 * len(PARAMETER_NAMES), seeded, integration)
+        for name in names:
+            alone = si_timeseries(params, name, grid=grid, integration=integration)
+            one_baseline_one_batch(runs, 2, seeded, integration)
+            shared = report.si_series[name]
+            assert np.max(np.abs(alone - shared)) <= 1e-7 * np.max(np.abs(shared))
 
     def test_default_grid_follows_t0(self, params):
         # the default grid was 0..1440 whatever t0, and the window followed it
@@ -157,39 +223,13 @@ class TestRankParameters:
     def test_nothing_skipped_at_reference(self, report):
         assert report.skipped == ()
 
-    def test_batch_matches_scalar_si(self, params):
-        report = rank_parameters(params, grid=SHORT_GRID, integration=SHORT_CFG)
-        for name in ("k5", "h3", "R_C", "alpha"):
-            scalar = si_timeseries(params, name, grid=SHORT_GRID,
-                                   integration=SHORT_CFG)
-            assert np.max(np.abs(report.si_series[name] - scalar)) <= 1e-7
-
-    def test_separate_runs_close_to_shared_steps(self, params, report):
-        # si_timeseries steps its plus and minus runs apart, so step-size
-        # noise stays in its series: 5.5e-6 of the largest magnitude at worst
-        for name in PARAMETER_NAMES:
-            shared = report.si_series[name]
-            alone = si_timeseries(params, name)
-            assert np.max(np.abs(alone - shared)) <= 1e-5 * np.max(np.abs(shared))
-
-    def test_one_batch_per_report(self, params, monkeypatch):
+    def test_one_batch_per_report(self, params, runs):
         # plus and minus copies at both step sizes share one batch, next to
         # one scalar baseline run; the batch starts from the baseline's state
-        # at t0 and burns in one day only where the baseline settled on a day
-        batches, baselines = [], []
-        real_batch, real_scalar = sensitivity.integrate_batch, sensitivity.integrate
-
-        def counted_batch(config, sets, output_times=None):
-            batches.append((config, len(sets)))
-            return real_batch(config, sets, output_times=output_times)
-
-        def counted_scalar(*args, **kwargs):
-            baselines.append(real_scalar(*args, **kwargs))
-            return baselines[-1]
-
-        monkeypatch.setattr(sensitivity, "integrate_batch", counted_batch)
-        monkeypatch.setattr(sensitivity, "integrate", counted_scalar)
-        p = params.with_values(k3=0.0)
+        # at t0 and burns in one day only where the baseline settled on a day.
+        # A parameter without an SI has no copies: zero, or on the bound of
+        # its domain, where a copy rel_step away is no model
+        p = params.with_values(k3=0.0, alpha=1.0, phi=1.0, rho=1.0)
         for grid, integration, seeded in (
                 # the default report: a converged baseline and a one-day grid
                 (None, IntegrationConfig(), True),
@@ -199,22 +239,16 @@ class TestRankParameters:
                 # short of a day
                 (SHORT_GRID, SHORT_CFG, False),
                 (np.arange(0.0, 721.0, 60.0), IntegrationConfig(), False)):
-            batches.clear()
-            baselines.clear()
             report = rank_parameters(p, grid=grid, integration=integration)
-            [(config, members)] = batches
-            [base] = baselines
-            assert members == 4 * (len(PARAMETER_NAMES) - 1)
+            base = one_baseline_one_batch(runs, 4 * (len(PARAMETER_NAMES) - 4),
+                                          seeded, integration)
             assert (base.burn_in_residual > 1.0) == (integration is SHORT_CFG)
-            assert "zero" in dict(report.skipped)["k3"]
+            reasons = dict(report.skipped)
+            assert "zero" in reasons["k3"]
+            assert reasons["alpha"].endswith("alpha must be >= 1, got 0.999")
+            assert all("domain" in reasons[name] for name in ("alpha", "phi", "rho"))
             assert (report.burn_in_days, report.burn_in_residual) == (
                 base.burn_in_days, base.burn_in_residual)
-            if seeded:
-                assert config.initial_state == HormoneState(*base.states[0])
-                assert config.burn_in == 1440.0
-            else:
-                assert config.initial_state is None
-                assert config.burn_in == integration.burn_in
 
     def test_unsettled_seeded_batch_runs_the_full_burn_in(self, params, monkeypatch):
         # a seeded batch whose recorded day fails the burn-in's test is
