@@ -8,20 +8,18 @@ from .errors import (ConfigError, FitError, HpaError, IntegrationError,
                      MetricError, ModelDomainError, ObservationError,
                      SamplingError, SensitivityError)
 from .integrator import (IntegrationConfig, Trajectory, default_initial_state,
-                         integrate, integrate_batch, sample, step_rk4)
+                         integrate, integrate_batch, sample)
 from .metrics import FitScore, ObservationSeries, mape, rmse, score_fit
 from .model import (Derivatives, HormoneState, PARAMETER_NAMES, ParameterSet,
-                    crh_feedback_factor, daylight, hill, rhs,
-                    steady_state_open_loop)
+                    daylight, hill, rhs, steady_state_open_loop)
 from .sensitivity import (SensitivityReport, correlation_matrix,
                           rank_parameters, si_timeseries)
 
 __all__ = [
     "__version__",
     "ParameterSet", "HormoneState", "Derivatives", "PARAMETER_NAMES",
-    "hill", "daylight", "crh_feedback_factor", "rhs", "steady_state_open_loop",
+    "hill", "daylight", "rhs", "steady_state_open_loop",
     "IntegrationConfig", "Trajectory", "integrate", "integrate_batch", "sample",
-    "step_rk4",
     "default_initial_state",
     "ObservationSeries", "FitScore", "mape", "rmse", "score_fit",
     "FitProblem", "FitResult", "fit", "objective",

@@ -126,6 +126,8 @@ def cmd_sensitivity(args) -> int:
     report = rank_parameters(config.params, grid=config.sens.grid(integ),
                              rel_step=config.sens.rel_step, integration=integ)
     _warn_unconverged(report)
+    for name, reason in report.skipped:
+        print(f"warning: {name} has no row: {reason}", file=sys.stderr)
     out = _out_dir(config)
     rank_of = {name: i + 1 for i, name in enumerate(report.ranking)}
     write_csv(out / "sensitivity.csv", ["parameter", "si_aggregate", "rank"],

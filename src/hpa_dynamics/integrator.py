@@ -15,7 +15,7 @@ ends as soon as one day leaves every component within ``abs_tol + rel_tol *
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from math import isfinite, sqrt
 
 import numpy as np
@@ -57,6 +57,11 @@ _LAND_TOL = 1e-9
 _MAX_STEPS = 2_000_000
 # period of the daylight forcing: the burn-in's unit of march
 _DAY = 1440.0
+# end of RK4's stability interval on the negative real axis (the root of
+# 1 + z + z^2/2 + z^3/6 + z^4/24 = 1 is -2.78529...): a fixed step with
+# dt * h past it grows the decay x' = -h * x by a factor above 1 per step,
+# so a short march returns finite wrong rows
+_RK4_STABLE = 2.785
 MODES = ("fixed", "adaptive")
 
 
@@ -133,9 +138,6 @@ class Trajectory:
     def cortisol(self) -> np.ndarray:
         return self.states[:, 2]
 
-    def final_state(self) -> HormoneState:
-        return HormoneState(*self.states[-1])
-
 
 def _check_finite(t, y):
     R, A, C = y
@@ -194,17 +196,6 @@ def _kernels(p):
     if isinstance(p, ParameterBatch):
         return _error_norm_batch, _check_finite_batch
     return _error_norm, _check_finite
-
-
-def step_rk4(t: float, s: HormoneState, dt: float, p: ParameterSet,
-             d_const: float | None = None) -> HormoneState:
-    """One classical 4th-order Runge-Kutta step of size dt."""
-    if not dt > 0:
-        raise IntegrationError(f"dt must be > 0, got {dt}")
-    y = s.as_tuple()
-    y = _rk4_step(t, y, _rhs(t, *y, p, d_const), dt, p, d_const, _rhs)
-    _check_finite(t + dt, y)
-    return HormoneState(*y)
 
 
 def _rk4_step(t, y, k1, dt, p, d_const, rhs):
@@ -458,9 +449,18 @@ def _solve(config: IntegrationConfig, p, y, output_times):
     In both modes its steps do not depend on the output times (see
     ``_march``). Returns (times, states, burn-in days, burn-in residual);
     ``states`` has shape (time, 3) for one model and (time, 3, member) for
-    a batch.
+    a batch. Fixed mode refuses a ``dt`` that puts the fastest removal rate
+    of any member past RK4's stability bound.
     """
     fixed = config.mode == "fixed"
+    if fixed:
+        # a batch is bounded by its fastest member
+        fastest = max(float(np.max(rate)) for rate in (p.h1, p.h2, p.h3))
+        if config.dt * fastest > _RK4_STABLE:
+            raise IntegrationError(
+                f"fixed step dt = {config.dt:g} times the fastest removal rate "
+                f"max(h1, h2, h3) = {fastest:g} exceeds RK4's stability bound "
+                f"{_RK4_STABLE}; use a smaller dt or adaptive mode")
     # each step spans at most dt (fixed) or _MAX_STEP (adaptive) minutes
     longest = config.dt if fixed else _MAX_STEP
     for span in (config.burn_in, config.t_end - config.t0):

@@ -79,13 +79,6 @@ class ParameterSet:
             if not (math.isfinite(v) and v >= 0):
                 raise ModelDomainError(f"{name} must be >= 0, got {v}")
 
-    def values(self) -> tuple[float, ...]:
-        """The 19 scalar parameters in ``PARAMETER_NAMES`` order."""
-        return tuple(getattr(self, name) for name in PARAMETER_NAMES)
-
-    def with_values(self, **updates) -> "ParameterSet":
-        return replace(self, **updates)
-
     def feedback_free(self) -> "ParameterSet":
         """Copy with all feedback coefficients zeroed (open-loop model)."""
         return replace(self, phi=0.0, rho=0.0, psi=0.0, xi=0.0)
@@ -179,20 +172,6 @@ def daylight(t: float) -> float:
     w = math.pi * math.fmod(t, 1440.0) / 720.0
     return (3.9 * math.sin(w) - math.sin(2.0 * w)
             - 1.3 * math.cos(2.0 * w) - 2.8 * math.cos(w)) / 11.1 + 0.4
-
-
-def crh_feedback_factor(C: float, p: ParameterSet) -> float:
-    """Cortisol-dependent modulation of CRH production.
-
-    Combines the net C^beta feedback (coefficient ``xi``) with the
-    hippocampal MR pathway (coefficient ``psi``). With
-    ``clamp_production`` the factor is floored at zero, keeping the
-    production term nonnegative.
-    """
-    if not (C >= 0):
-        raise ModelDomainError(f"cortisol must be >= 0, got {C}")
-    # dR of a model with unit basal drive and no CRH or ACTH is the factor
-    return _rhs(0.0, 0.0, 0.0, C, replace(p, k1=1.0, k2=0.0), 0.0)[0]
 
 
 def _rhs(t: float, R, A, C, p, d_const: float | None = None):

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from hpa_dynamics import (IntegrationConfig, ObservationSeries, ParameterSet,
-                          integrate)
+from hpa_dynamics import (HormoneState, IntegrationConfig, ObservationSeries,
+                          ParameterSet, integrate)
 
 
 @pytest.fixture(scope="session")
@@ -16,7 +16,7 @@ def params():
 def burned_state(params):
     """State on the periodic attractor at midnight, after the default burn-in."""
     cfg = IntegrationConfig(t0=0.0, t_end=0.0, burn_in=14400.0)
-    return integrate(cfg, params).final_state()
+    return HormoneState(*integrate(cfg, params).states[-1])
 
 
 @pytest.fixture(scope="session")

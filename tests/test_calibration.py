@@ -215,7 +215,7 @@ class TestSmallFitContract:
         rng = np.random.default_rng(seed)
         base = ParameterSet()
         f4, f5 = np.exp(0.3 * rng.standard_normal(2))
-        truth = base.with_values(k4=base.k4 * f4, k5=base.k5 * f5)
+        truth = replace(base, k4=base.k4 * f4, k5=base.k5 * f5)
         times = np.linspace(0.0, 1440.0, 49)
         times[1:-1] += rng.uniform(-5.0, 5.0, 47)
         clean = sample(integrate(cls.CFG, truth), times)

@@ -203,7 +203,7 @@ class TestSensitivity:
         corr = read_rows(out / "correlation.csv")
         assert len(corr) == 1 + 9 and len(corr[0]) == 1 + 9
 
-    def test_parameters_on_their_bound_have_no_row(self, tmp_path):
+    def test_parameters_on_their_bound_have_no_row(self, tmp_path, capsys):
         # a copy 0.1% below alpha = 1 or above phi = rho = 1 is no model: the
         # report used to fail with "alpha must be >= 1, got 0.999"
         cfg = write_cfg(tmp_path, "integrate.burn_in_min = 1440\n"
@@ -214,6 +214,13 @@ class TestSensitivity:
         rows = read_rows(out / "sensitivity.csv")
         assert len(rows) == 1 + 16
         assert not {r[0] for r in rows[1:]} & {"alpha", "phi", "rho"}
+        # each left-out parameter gets one stderr line with its reason (the
+        # one-day burn-in also warns that it ended unconverged)
+        skips = [line for line in capsys.readouterr().err.splitlines()
+                 if "has no row" in line]
+        assert [line.split()[:2] for line in skips] == [
+            ["warning:", name] for name in ("alpha", "phi", "rho")]
+        assert skips[0].endswith("alpha must be >= 1, got 0.999")
 
 
 class TestBurnInWarning:
@@ -293,6 +300,17 @@ class TestExitCodes:
                         "integrate.burn_in_min = 0\n")
         assert run("simulate", "--config", str(cfg),
                    "--out", str(tmp_path / "o")) == EXIT_NUMERICAL
+
+    def test_fixed_step_past_rk4_bound_refused(self, tmp_path, capsys):
+        # exited 0 with a last row of CRH 1.18e13 and ACTH -1.18e12
+        cfg = write_cfg(tmp_path, "model.h1 = 1\nintegrate.mode = fixed\n"
+                        "integrate.dt_min = 5\nintegrate.burn_in_min = 0\n"
+                        "integrate.t_end_min = 60\n")
+        assert run("simulate", "--config", str(cfg),
+                   "--out", str(tmp_path / "o")) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "stability bound" in err
 
     @pytest.mark.parametrize("command, text", [
         pytest.param("simulate", text, id=text)

@@ -11,8 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from hpa_dynamics import (FitProblem, IntegrationConfig, fit, integrate, integrator,
-                          objective, rank_parameters, si_timeseries)
+from hpa_dynamics import (FitProblem, IntegrationConfig, cli, fit, integrate,
+                          integrator, objective, rank_parameters, si_timeseries)
 from hpa_dynamics.io import parse_observations
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "synthetic_observations.csv"
@@ -40,9 +40,22 @@ LEDGER = [
 ]
 
 
-@pytest.mark.parametrize("call, expected", [row[1:] for row in LEDGER],
-                         ids=[row[0] for row in LEDGER])
-def test_rhs_calls(params, monkeypatch, call, expected):
+# (command, its flags besides --config and --out, config text, RHS calls)
+COMMANDS = [
+    # default integrate, written to trajectory.csv
+    ("simulate", (), "", 7740),
+    # one integrate landing on the observation times
+    ("validate", ("--data", str(DATA)), "", 7740),
+    ("sensitivity", (), "", 12495),
+    ("daylight", (), "", 0),
+    # the default budget of 5,000 is too slow for Tier-1; the final score
+    # is one more integrate
+    ("fit", ("--data", str(DATA)), "fit.budget = 20\n", 196396),
+]
+
+
+def _count_rhs(monkeypatch, call):
+    """The RHS calls that ``call()`` makes, and what it returns."""
     calls = 0
     real = integrator._rhs
 
@@ -52,5 +65,21 @@ def test_rhs_calls(params, monkeypatch, call, expected):
         return real(*args)
 
     monkeypatch.setattr(integrator, "_rhs", counted)
-    call(params, parse_observations(DATA))
-    assert calls == expected
+    result = call()
+    return calls, result
+
+
+@pytest.mark.parametrize("call, expected", [row[1:] for row in LEDGER],
+                         ids=[row[0] for row in LEDGER])
+def test_rhs_calls(params, monkeypatch, call, expected):
+    obs = parse_observations(DATA)
+    assert _count_rhs(monkeypatch, lambda: call(params, obs))[0] == expected
+
+
+@pytest.mark.parametrize("command, flags, text, expected", COMMANDS,
+                         ids=[row[0] for row in COMMANDS])
+def test_command_rhs_calls(tmp_path, monkeypatch, command, flags, text, expected):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out"), *flags]
+    assert _count_rhs(monkeypatch, lambda: cli.main(argv)) == (expected, cli.EXIT_OK)

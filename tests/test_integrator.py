@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from hpa_dynamics import (HormoneState, IntegrationConfig, IntegrationError,
                           ParameterSet, SamplingError, default_initial_state,
-                          integrate, sample, step_rk4, steady_state_open_loop)
+                          integrate, sample, steady_state_open_loop)
 from hpa_dynamics import integrator
 from hpa_dynamics.integrator import _rk4_step, integrate_batch
 from hpa_dynamics.model import _rhs
@@ -19,22 +19,27 @@ SLOW = ParameterSet(h3=0.1 * ParameterSet().h3)   # still drifting after 10 days
 DECAY = ParameterSet(k1=0, k2=0, k3=0, k4=0, k5=0)
 
 
+def fixed_decay(dt, t_end):
+    """Fixed-step RK4 of the pure decay from (1, 1, 1), one row per step."""
+    cfg = IntegrationConfig(t_end=t_end, burn_in=0, mode="fixed", dt=dt,
+                            initial_state=HormoneState(1.0, 1.0, 1.0))
+    return integrate(cfg, DECAY).states
+
+
 class TestStepRk4:
     def test_stability_polynomial_on_linear_decay(self):
         # one RK4 step of exp decay reproduces the degree-4 Taylor polynomial
-        s = step_rk4(0.0, HormoneState(1.0, 1.0, 1.0), 10.0, DECAY)
+        R = fixed_decay(10.0, 10.0)[-1][0]
         z = -0.1732 * 10.0
         poly = 1.0 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
-        assert s.R == pytest.approx(poly, abs=1e-12)
+        assert R == pytest.approx(poly, abs=1e-12)
         assert poly == pytest.approx(0.276919, abs=1e-6)
 
     def test_multi_step_decay_accuracy(self):
-        s = HormoneState(1.0, 1.0, 1.0)
-        for i in range(20):
-            s = step_rk4(i * 0.5, s, 0.5, DECAY)
-        assert s.R == pytest.approx(math.exp(-1.732), abs=1e-3)
-        assert s.A == pytest.approx(math.exp(-0.315), abs=1e-3)
-        assert s.C == pytest.approx(math.exp(-0.105), abs=1e-3)
+        R, A, C = fixed_decay(0.5, 10.0)[-1]
+        assert R == pytest.approx(math.exp(-1.732), abs=1e-3)
+        assert A == pytest.approx(math.exp(-0.315), abs=1e-3)
+        assert C == pytest.approx(math.exp(-0.105), abs=1e-3)
 
     def test_local_error_shrinks_fifth_order(self, params, burned_state):
         # |one dt step - two dt/2 steps| is a local O(dt^5) quantity,
@@ -60,10 +65,6 @@ class TestStepRk4:
                                 burn_in=0, initial_state=s, daylight_const=0.5)
         traj = integrate(cfg, p)
         assert np.max(np.abs(traj.states - np.array(s.as_tuple()))) <= 1e-12
-
-    def test_bad_dt_rejected(self, params):
-        with pytest.raises(IntegrationError):
-            step_rk4(0.0, HormoneState(1, 1, 1), 0.0, params)
 
 
 class TestGlobalConvergence:
@@ -109,7 +110,7 @@ class TestIntegrationConfig:
         traj = integrate(IntegrationConfig(t0=0, t_end=0, burn_in=0), params)
         assert len(traj.times) == 1
         assert traj.times[0] == 0.0
-        assert traj.final_state() == default_initial_state(params, 0.0)
+        assert HormoneState(*traj.states[-1]) == default_initial_state(params, 0.0)
 
     def test_invalid_settings(self):
         with pytest.raises(IntegrationError):
@@ -146,12 +147,14 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("mode", ["adaptive", "fixed"])
     def test_default_grid_ends_on_t_end(self, params, mode):
-        # the grid's slack once put its last time 5e-7 min past t_end
+        # the grid's slack once put its last time 5e-7 min past t_end; slow
+        # removal keeps a fixed step of 1000 min inside RK4's stability bound
+        slow = replace(params, h1=1e-3, h2=1e-3, h3=1e-3)
         cfg = IntegrationConfig(t_end=2999.9999995, output_dt=1000.0, dt=1000.0,
                                 burn_in=0, mode=mode)
-        traj = integrate(cfg, params)
+        traj = integrate(cfg, slow)
         assert list(traj.times) == [0.0, 1000.0, 2000.0, 2999.9999995]
-        assert np.array_equal(traj.states[-1], integrate(cfg, params,
+        assert np.array_equal(traj.states[-1], integrate(cfg, slow,
                                                          [cfg.t_end]).states[0])
 
     def test_fixed_partial_final_step(self, params):
@@ -191,7 +194,7 @@ class TestIntegrate:
     def test_custom_initial_state(self, params):
         s0 = HormoneState(0.1, 0.2, 0.3)
         cfg = IntegrationConfig(t0=0, t_end=0, burn_in=0, initial_state=s0)
-        assert integrate(cfg, params).final_state() == s0
+        assert HormoneState(*integrate(cfg, params).states[-1]) == s0
 
 
 # output times closer together than the integrator's minimum step, repeated,
@@ -230,7 +233,7 @@ class TestOutputLanding:
 
     @pytest.mark.parametrize("times", LANDING_CASES)
     def test_one_row_per_output_time_batch(self, params, times, step_budget):
-        sets = [params, params.with_values(k5=0.005)]
+        sets = [params, replace(params, k5=0.005)]
         for traj, p in zip(integrate_batch(self.CFG, sets, output_times=times), sets):
             assert list(traj.times) == sorted(times)
             assert traj.states.shape == (len(times), 3)
@@ -279,7 +282,7 @@ class TestFixedModeOutputTimes:
         assert np.allclose(traj.states[-1], ended.states[-1], rtol=1e-10, atol=0)
 
     def test_batch_members_equal_their_own_runs(self, params):
-        sets = [params, params.with_values(k4=0.09)]
+        sets = [params, replace(params, k4=0.09)]
         times = [0.0, 12.3, 33.3, 60.0]
         for traj, p in zip(integrate_batch(self.CFG, sets, output_times=times), sets):
             alone = integrate_batch(self.CFG, [p], output_times=times)[0]
@@ -318,7 +321,8 @@ class TestFixedModeOutputTimes:
         assert len(halves.times) == 10
         # a burn-in of 1440.5 min spans 9.6 steps of 150 min, but its
         # half-minute remainder and its day each end on a cut step: 11 tries
-        p = params.feedback_free()
+        # (slow removal keeps the 150-min step inside RK4's stability bound)
+        p = replace(params.feedback_free(), h1=1e-3, h2=1e-3, h3=1e-3)
         still = replace(cfg, t_end=0.0, burn_in=1440.5, dt=150.0, daylight_const=0.5,
                         initial_state=steady_state_open_loop(p, 0.5))
         with pytest.raises(IntegrationError, match="more than 10 steps"):
@@ -369,7 +373,7 @@ class TestDenseOutput:
                                                      mode):
         cfg = IntegrationConfig(t_end=self.WINDOW, burn_in=0.0, mode=mode, dt=0.5,
                                 initial_state=burned_state)
-        sets = [params, params.with_values(k4=0.09)]
+        sets = [params, replace(params, k4=0.09)]
         more = self.and_every_minute(times)
         for few, many in zip(integrate_batch(cfg, sets, output_times=times),
                              integrate_batch(cfg, sets, output_times=more)):
@@ -422,12 +426,36 @@ def test_nan_output_time_rejected(params, mode):
         integrate(cfg, params, output_times=[0.0, math.nan, 10.0])
 
 
+class TestRk4StabilityBound:
+    """Fixed mode refuses a dt past RK4's stability bound, dt * max(h1, h2,
+    h3) > 2.785: with h1 = 10 and dt 0.5, 30 min used to return R = 6.9e63
+    (adaptive: 0.06)."""
+
+    CFG = IntegrationConfig(t_end=30.0, burn_in=0.0, mode="fixed", dt=0.5)
+
+    def test_refused(self, params):
+        with pytest.raises(IntegrationError, match=r"dt = 0\.5 .* bound 2\.785"):
+            integrate(self.CFG, replace(params, h1=10.0))
+
+    def test_batch_bounded_by_its_fastest_member(self, params):
+        with pytest.raises(IntegrationError, match="stability bound"):
+            integrate_batch(self.CFG, [params, replace(params, h2=10.0)])
+
+    def test_inside_the_bound_runs(self, params):
+        cfg = replace(self.CFG, dt=2.78)
+        assert np.all(np.isfinite(integrate(cfg, replace(params, h1=1.0)).states))
+
+    def test_adaptive_mode_unaffected(self, params):
+        cfg = replace(self.CFG, mode="adaptive")
+        assert np.all(np.isfinite(integrate(cfg, replace(params, h1=10.0)).states))
+
+
 class TestIntegrateBatch:
     @pytest.mark.parametrize("mode", ["adaptive", "fixed"])
     def test_members_match_scalar_integrate(self, params, mode):
         rng = np.random.default_rng(3)
         sets = [params] + [
-            params.with_values(**{name: getattr(params, name) * rng.uniform(0.7, 1.3)})
+            replace(params, **{name: getattr(params, name) * rng.uniform(0.7, 1.3)})
             for name in ("k1", "k4", "R_C", "beta", "xi", "h3")]
         cfg = IntegrationConfig(t0=0, t_end=720, burn_in=1440, mode=mode, dt=1.0)
         trajs = integrate_batch(cfg, sets)
@@ -441,8 +469,8 @@ class TestIntegrateBatch:
     def test_shared_initial_state(self, params):
         s0 = HormoneState(0.1, 0.2, 0.3)
         cfg = IntegrationConfig(t0=0, t_end=0, burn_in=0, initial_state=s0)
-        trajs = integrate_batch(cfg, [params, params.with_values(k1=1.0)])
-        assert [traj.final_state() for traj in trajs] == [s0, s0]
+        trajs = integrate_batch(cfg, [params, replace(params, k1=1.0)])
+        assert [HormoneState(*traj.states[-1]) for traj in trajs] == [s0, s0]
 
 
 class TestStepBudget:
@@ -568,7 +596,7 @@ class TestConvergedBurnIn:
         alone = integrate(cfg, params)
         assert alone.burn_in_days < 10
         assert np.max(np.abs(fast.states - alone.states) / alone.states) <= 1e-9
-        pair = integrate_batch(cfg, [params, params.with_values(k4=0.09)])
+        pair = integrate_batch(cfg, [params, replace(params, k4=0.09)])
         assert all(t.burn_in_days <= 3 for t in pair)
 
     def test_fixed_mode_stops_early_bit_identical(self, params):

@@ -1,14 +1,15 @@
 """Model building blocks: parameters, Hill response, daylight forcing, rhs."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from hpa_dynamics import (Derivatives, HormoneState, PARAMETER_NAMES,
-                          ParameterSet, ModelDomainError, crh_feedback_factor,
-                          daylight, hill, rhs, steady_state_open_loop)
+                          ParameterSet, ModelDomainError, daylight, hill, rhs,
+                          steady_state_open_loop)
 from hpa_dynamics.model import ParameterBatch, _rhs
 
 finite_pos = st.floats(min_value=1e-6, max_value=1e6,
@@ -32,12 +33,11 @@ class TestParameterSet:
         assert PARAMETER_NAMES[:5] == ("k1", "k2", "k3", "k4", "k5")
         assert PARAMETER_NAMES[-1] == "rho"
 
-    def test_values_round_trip(self):
+    def test_replace_checks_the_copy(self):
         p = ParameterSet()
-        vals = p.values()
-        assert len(vals) == 19
-        assert vals[0] == p.k1
-        assert p.with_values(k5=0.005).k5 == 0.005
+        assert replace(p, k5=0.005).k5 == 0.005
+        with pytest.raises(ModelDomainError):
+            replace(p, h1=-0.1)
 
     def test_negative_rate_rejected(self):
         with pytest.raises(ModelDomainError):
@@ -138,26 +138,28 @@ class TestDaylight:
         assert 240.0 <= t_peak <= 720.0
 
 
+def feedback_factor(C, p):
+    """The cortisol-dependent factor of CRH production, read from ``_rhs``
+    as dR of a model with unit basal drive and no CRH or ACTH."""
+    return _rhs(0.0, 0.0, 0.0, C, replace(p, k1=1.0, k2=0.0), 0.0)[0]
+
+
 class TestCrhFeedbackFactor:
     def test_zero_cortisol(self, params):
-        assert crh_feedback_factor(0.0, params) == 1.0
+        assert feedback_factor(0.0, params) == 1.0
 
     def test_large_cortisol_clamped(self, params):
-        assert crh_feedback_factor(1e12, params) == 0.0
+        assert feedback_factor(1e12, params) == 0.0
 
     def test_large_cortisol_unclamped(self, params):
-        p = params.with_values(clamp_production=False)
+        p = replace(params, clamp_production=False)
         # 1 - xi - psi = 1 - 2 - 0.5
-        assert crh_feedback_factor(1e12, p) == pytest.approx(-1.5, abs=1e-9)
+        assert feedback_factor(1e12, p) == pytest.approx(-1.5, abs=1e-9)
 
     def test_feedback_free_is_identity(self, params):
         p = params.feedback_free()
         for c in (0.0, 0.5, 1.12, 10.0):
-            assert crh_feedback_factor(c, p) == 1.0
-
-    def test_negative_cortisol_rejected(self, params):
-        with pytest.raises(ModelDomainError):
-            crh_feedback_factor(-0.1, params)
+            assert feedback_factor(c, p) == 1.0
 
     @given(C=st.floats(min_value=0.0, max_value=1e300) | st.just(math.inf),
            xi=st.floats(min_value=0.0, max_value=5.0),
@@ -177,7 +179,7 @@ class TestCrhFeedbackFactor:
 
         factor = 1.0 - xi * response(beta) - psi * response(delta)
         expected = max(factor, 0.0) if clamp else factor
-        assert crh_feedback_factor(C, p) == pytest.approx(expected, rel=1e-9,
+        assert feedback_factor(C, p) == pytest.approx(expected, rel=1e-9,
                                                           abs=1e-9)
 
 

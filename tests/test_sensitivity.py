@@ -113,7 +113,7 @@ class TestSiTimeseries:
             si_timeseries(params, "k5", rel_step=0.9)
 
     def test_zero_parameter_value(self, params):
-        p = params.with_values(k3=0.0)
+        p = replace(params, k3=0.0)
         with pytest.raises(SensitivityError):
             si_timeseries(p, "k3", grid=FROZEN_GRID, integration=FROZEN_CFG)
 
@@ -122,7 +122,7 @@ class TestSiTimeseries:
         # alpha >= 1 and phi, rho <= 1: at 1 a copy rel_step away is no
         # model, and the refusal names the parameter before any run
         with pytest.raises(SensitivityError, match=f"{name}: .*domain"):
-            si_timeseries(params.with_values(**{name: 1.0}), name)
+            si_timeseries(replace(params, **{name: 1.0}), name)
         assert runs == ([], [])
 
     @pytest.mark.parametrize("grid, integration, seeded, names", [
@@ -229,7 +229,7 @@ class TestRankParameters:
         # at t0 and burns in one day only where the baseline settled on a day.
         # A parameter without an SI has no copies: zero, or on the bound of
         # its domain, where a copy rel_step away is no model
-        p = params.with_values(k3=0.0, alpha=1.0, phi=1.0, rho=1.0)
+        p = replace(params, k3=0.0, alpha=1.0, phi=1.0, rho=1.0)
         for grid, integration, seeded in (
                 # the default report: a converged baseline and a one-day grid
                 (None, IntegrationConfig(), True),
