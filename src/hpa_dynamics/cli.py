@@ -49,9 +49,10 @@ def _warn_unconverged(traj):
               file=sys.stderr)
 
 
-def _write_scores(path, integration, params, obs):
-    """Score ``params`` on the observation times, as ``objective`` does."""
-    traj = integrate(integration.covering(obs.times), params,
+def _write_scores(config: RunConfig, params, obs) -> Path:
+    """Score ``params`` on the observation times, as ``objective`` does, then
+    make the output directory and write ``scores.csv`` there; returns it."""
+    traj = integrate(config.integration.covering(obs.times), params,
                      output_times=np.unique(obs.times))
     _warn_unconverged(traj)
     score = score_fit(traj, obs)
@@ -60,14 +61,16 @@ def _write_scores(path, integration, params, obs):
         rows.append(("acth", score.mape_acth, score.rmse_acth))
     if score.mape_cortisol is not None:
         rows.append(("cortisol", score.mape_cortisol, score.rmse_cortisol))
-    write_csv(path, ["hormone", "mape_pct", "rmse"], rows)
+    out = _out_dir(config)
+    write_csv(out / "scores.csv", ["hormone", "mape_pct", "rmse"], rows)
+    return out
 
 
 def cmd_simulate(args) -> int:
     config = _load_config(args)
-    out = _out_dir(config)
     traj = integrate(config.integration, config.params)
     _warn_unconverged(traj)
+    out = _out_dir(config)
     write_csv(out / "trajectory.csv", ["t_min", "crh", "acth", "cortisol"],
               zip(traj.times, traj.crh, traj.acth, traj.cortisol))
     write_manifest(out / "manifest.txt", "simulate", config, __version__)
@@ -76,8 +79,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_daylight(args) -> int:
     config = _load_config(args)
-    out = _out_dir(config)
     times = _output_grid(0.0, 1440.0, config.integration.output_dt)
+    out = _out_dir(config)
     write_csv(out / "daylight.csv", ["t_min", "D"],
               ((t, daylight(t)) for t in times))
     write_manifest(out / "manifest.txt", "daylight", config, __version__)
@@ -87,8 +90,7 @@ def cmd_daylight(args) -> int:
 def cmd_validate(args) -> int:
     config = _load_config(args)
     obs = parse_observations(args.data)
-    out = _out_dir(config)
-    _write_scores(out / "scores.csv", config.integration, config.params, obs)
+    out = _write_scores(config, config.params, obs)
     write_manifest(out / "manifest.txt", "validate", config, __version__,
                    extra={"data": args.data})
     return EXIT_OK
@@ -105,16 +107,14 @@ def cmd_fit(args) -> int:
                       objective_kind=fs.objective,
                       w_acth=fs.w_acth, w_cortisol=fs.w_cortisol,
                       integration=config.integration)
-    out = _out_dir(config)
     result = run_fit(prob, obs, budget=fs.budget, seed=fs.seed,
                      n_starts=fs.n_starts)
+    out = _write_scores(config, result.fitted, obs)
     rows = [(name, getattr(result.fitted, name)) for name in fs.free]
     rows.append(("objective_value", result.objective_value))
     rows.append(("evaluations", result.evaluations))
     rows.append(("converged", 1 if result.converged else 0))
     write_csv(out / "fitted_parameters.csv", ["parameter", "value"], rows)
-
-    _write_scores(out / "scores.csv", config.integration, result.fitted, obs)
     write_manifest(out / "manifest.txt", "fit", config, __version__,
                    extra={"data": args.data})
     return EXIT_OK

@@ -28,6 +28,8 @@ class ObservationSeries:
         object.__setattr__(self, "times", times)
         if self.acth is None and self.cortisol is None:
             raise MetricError("at least one hormone series is required")
+        if times.size == 0:
+            raise MetricError("at least one observation time is required")
         if not np.isfinite(times).all():
             raise MetricError("observation times must be finite")
         if np.any(np.diff(times) < 0):

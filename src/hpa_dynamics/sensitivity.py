@@ -13,19 +13,10 @@ in the central differences (Bock's internal numerical differentiation).
 The report's batch holds every parameter at ``rel_step`` and, for the
 stability check, at ``rel_step / 2``; it is one in-process task for
 ``map_ordered``. ``si_timeseries`` batches one parameter's two copies.
-
-When the baseline's burn-in converged and the grid spans one forcing period
-(1440 min), as the default grid does, the batch starts every member from
-the baseline's state at the grid's first time and burns in one day, not
-from its own open-loop steady state. Each member's attractor lies within
-about ``rel_step`` of the baseline's, and one day of the strongly
-contracting day map shrinks that offset by a factor of 1e-12 to 3e-7 (as
-measured over the burn-ins of fits), so what is left moves an SI by about
-that factor relative. The seeded batch is kept when its recorded day
-changes no component of any member beyond ``abs_tol + rel_tol * |y|``,
-the test that ends a burn-in. Otherwise the batch is run again from
-scratch with the full burn-in, as it is on any other grid or after an
-unconverged baseline.
+The baseline is the batch's ``near`` run: when its burn-in converged and
+the grid spans one forcing period, as the default grid does,
+``integrate_batch`` seeds the batch from it (see there), and what is left
+of the seed's offset moves an SI by a factor of 1e-12 to 3e-7 relative.
 
 Parameters that are zero (relative SI undefined), whose copy ``rel_step``
 away leaves the model's domain (``alpha``, ``phi`` or ``rho`` of 1), or
@@ -41,9 +32,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ModelDomainError, SensitivityError
-from .integrator import (_DAY, _LAND_TOL, IntegrationConfig, _day_change, _output_grid,
-                         integrate, integrate_batch)
-from .model import PARAMETER_NAMES, HormoneState, ParameterSet
+from .integrator import _DAY, IntegrationConfig, _output_grid, integrate, integrate_batch
+from .model import PARAMETER_NAMES, ParameterSet
 from .parallel import map_ordered
 
 # a series whose spread is at most this fraction of its largest magnitude
@@ -172,35 +162,15 @@ def si_timeseries(p: ParameterSet, name: str, grid=None,
     return _si_batch((p, [name], grid, (rel_step,), integration, base))[0][0]
 
 
-def _settled(trajs, config: IntegrationConfig) -> bool:
-    """True when the recorded day (first to last row) changes no component
-    of any member beyond the tolerances, as a converged burn-in day does."""
-    ends = np.array([traj.states[[0, -1]] for traj in trajs])
-    return _day_change(ends[:, 0].T, ends[:, 1].T, config.abs_tol, config.rel_tol) <= 1.0
-
-
 def _si_batch(args):
     """SI series of the named parameters, shape (len(names), len(grid)), for
-    each step size, from one step-major batch of all plus and minus copies.
-
-    The batch starts from the baseline run ``base``'s state at ``grid[0]``
-    with a one-day burn-in where that is sound and its recorded day shows
-    it settled; otherwise it runs with the full burn-in from each member's
-    own initial state."""
+    each step size, from one step-major batch of all plus and minus copies,
+    seeded from the baseline run ``base`` where ``integrate_batch`` finds
+    that sound."""
     p, names, grid, steps, integration, base = args
     sets = [q for step in steps for name in names for q in _perturbed(p, name, step)]
-    window = _window(grid, integration)
-    # sound only after a converged baseline, and checkable by the recorded
-    # day only on a grid of one whole forcing period; the default grid from
-    # t0 = 1000.7 spans 1439.9999999999998 in floats
-    seedable = (base.burn_in_residual <= 1.0
-                and abs(grid[-1] - grid[0] - _DAY) <= _LAND_TOL)
-    if seedable:
-        seeded = replace(window, initial_state=HormoneState(*base.states[0]),
-                         burn_in=_DAY)
-        trajs = integrate_batch(seeded, sets, output_times=grid)
-    if not (seedable and _settled(trajs, window)):
-        trajs = integrate_batch(window, sets, output_times=grid)
+    trajs = integrate_batch(_window(grid, integration), sets, output_times=grid,
+                            near=base)
     cortisol = np.array([traj.cortisol for traj in trajs])
     cortisol = cortisol.reshape(len(steps), 2 * len(names), len(grid))
     return [_si(c[0::2], c[1::2], step, base.cortisol)
@@ -233,12 +203,8 @@ def rank_parameters(p: ParameterSet, grid=None,
     """Sensitivity report over the 19 parameters.
 
     One baseline run and one in-process batch of four copies per parameter
-    that has an SI. When the baseline's burn-in converged and the grid spans
-    1440 min (to within 1e-9 min), the batch starts from the baseline's
-    state at ``grid[0]`` with a one-day burn-in; if its recorded day then
-    changes a component of a member beyond the tolerances, the batch is
-    run again with the full burn-in, as it is on any other grid or
-    baseline (see the module docstring). Aggregation is mean |SI(t)| over
+    that has an SI, seeded from the baseline where that is sound (see
+    ``integrate_batch``'s ``near``). Aggregation is mean |SI(t)| over
     the grid; ``fd_unstable`` lists parameters whose aggregate moves by 1%
     or more when the finite difference step is halved. Zero-valued
     parameters, parameters whose copy ``rel_step`` away leaves the model's

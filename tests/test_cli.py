@@ -302,15 +302,21 @@ class TestExitCodes:
                    "--out", str(tmp_path / "o")) == EXIT_NUMERICAL
 
     def test_fixed_step_past_rk4_bound_refused(self, tmp_path, capsys):
-        # exited 0 with a last row of CRH 1.18e13 and ACTH -1.18e12
+        # simulate exited 0 with a last row of CRH 1.18e13 and ACTH -1.18e12;
+        # once refused, simulate and validate left an empty --out directory
+        # and fit one holding fitted_parameters.csv
         cfg = write_cfg(tmp_path, "model.h1 = 1\nintegrate.mode = fixed\n"
                         "integrate.dt_min = 5\nintegrate.burn_in_min = 0\n"
                         "integrate.t_end_min = 60\n")
-        assert run("simulate", "--config", str(cfg),
-                   "--out", str(tmp_path / "o")) == EXIT_NUMERICAL
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "stability bound" in err
+        for command in ("simulate", "validate", "fit"):
+            out = tmp_path / command
+            data = ("--data", DATA) if command != "simulate" else ()
+            assert run(command, "--config", str(cfg), "--out", str(out),
+                       *data) == EXIT_NUMERICAL
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "stability bound" in err
+            assert not out.exists()
 
     @pytest.mark.parametrize("command, text", [
         pytest.param("simulate", text, id=text)
@@ -326,6 +332,8 @@ class TestExitCodes:
         cfg = write_cfg(tmp_path, text)
         assert run(command, "--config", str(cfg),
                    "--out", str(tmp_path / "o")) == EXIT_NUMERICAL
+        # simulate and daylight made their --out directory before refusing
+        assert not (tmp_path / "o").exists()
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

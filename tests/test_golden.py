@@ -44,6 +44,14 @@ GOLDEN_FILES = {
     "sensitivity": ("integrate.burn_in_min = 1440\nsens.grid_dt_min = 10\n", ("sensitivity",), {
         "sensitivity.csv": "05d188948322355114ea84faaf933f5272dedeee6990b0974eba34d2f0623ca5",
     }),
+    # the defaults: a converged baseline on a one-day grid, so the batch
+    # is seeded from the baseline's state (the two cases above and below
+    # stop the baseline's burn-in after one unconverged day, so theirs runs
+    # cold)
+    "sensitivity-seeded": ("", ("sensitivity",), {
+        "sensitivity.csv": "360d4e8c6d89018f321d52d04d69dba60c0ecd9b43a5da549692d42070a9d633",
+        "correlation.csv": "81205ed008fbcd067b16c38bba9e588bcdb3dcf6338be9753641c2b0d640085f",
+    }),
     # a 4-min step does not divide the observation times, so each is
     # interpolated within its step; when steps landed on them instead, ACTH
     # MAPE read 4.03792564684 and cortisol MAPE 3.32132661872 (now

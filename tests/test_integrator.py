@@ -624,6 +624,75 @@ class TestConvergedBurnIn:
             integrate(IntegrationConfig(t_end=0.0), SLOW)
 
 
+class TestSeededBatch:
+    """``integrate_batch``'s ``near``: a converged run over the same
+    one-period window seeds the batch, which burns in one day and checks
+    its recorded day; any other ``near`` leaves the batch cold."""
+
+    CFG = IntegrationConfig(output_dt=10.0)
+    GRID = np.arange(0.0, 1441.0, 10.0)
+
+    @pytest.fixture(scope="class")
+    def sets(self):
+        p = ParameterSet()
+        return [p, replace(p, k4=1.001 * p.k4), replace(p, k5=0.999 * p.k5)]
+
+    @pytest.fixture(scope="class")
+    def near(self):
+        return integrate(self.CFG, ParameterSet(), output_times=self.GRID)
+
+    @pytest.fixture(scope="class")
+    def settled(self, sets, near):
+        return integrate_batch(self.CFG, sets, output_times=self.GRID, near=near)
+
+    def test_settled_batch_is_the_explicit_seeded_run(self, sets, near, settled):
+        seeded = replace(self.CFG, initial_state=HormoneState(*near.states[0]),
+                         burn_in=1440.0)
+        explicit = integrate_batch(seeded, sets, output_times=self.GRID)
+        for got, ref in zip(settled, explicit):
+            assert np.array_equal(got.states, ref.states)
+            assert got.burn_in_days == ref.burn_in_days == 1
+            assert got.burn_in_residual <= 1.0
+
+    @pytest.mark.parametrize("config, near_config", [
+        # an unconverged run: one burn-in day from the open-loop state
+        (CFG, replace(CFG, burn_in=1440.0)),
+        # a converged run, but on a window short of a day
+        (replace(CFG, t_end=720.0), replace(CFG, t_end=720.0)),
+        # a converged run of another window
+        (CFG, replace(CFG, t0=60.0, t_end=1500.0))],
+        ids=["unconverged", "short-window", "other-t0"])
+    def test_unusable_near_runs_cold(self, sets, config, near_config):
+        near = integrate(near_config, ParameterSet())
+        got = integrate_batch(config, sets, near=near)
+        cold = integrate_batch(config, sets)
+        for a, b in zip(got, cold):
+            assert np.array_equal(a.states, b.states)
+            assert (a.burn_in_days, a.burn_in_residual) == (
+                b.burn_in_days, b.burn_in_residual)
+
+    def test_unsettled_check_day_marches_on(self, sets, near, settled, monkeypatch):
+        real = integrator._day_change
+        calls = []
+
+        def fails_once(*args):
+            calls.append(args)
+            return math.inf if len(calls) == 1 else real(*args)
+
+        monkeypatch.setattr(integrator, "_day_change", fails_once)
+        later = integrate_batch(self.CFG, sets, output_times=self.GRID, near=near)
+        assert len(calls) == 2
+        for got, ref in zip(later, settled):
+            assert got.burn_in_days == 2 and got.burn_in_residual <= 1.0
+            assert off_by(got, ref) <= 1e-7
+
+    def test_never_settled_stops_at_the_cap(self, sets, near, monkeypatch):
+        monkeypatch.setattr(integrator, "_day_change", lambda *args: math.inf)
+        cfg = replace(self.CFG, burn_in=3 * 1440.0)
+        for traj in integrate_batch(cfg, sets, output_times=self.GRID, near=near):
+            assert traj.burn_in_days == 3 and traj.burn_in_residual > 1.0
+
+
 class TestSample:
     def test_exact_nodes_and_midpoints(self, params):
         cfg = IntegrationConfig(t0=0, t_end=10, burn_in=0)

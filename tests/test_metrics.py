@@ -95,6 +95,13 @@ class TestObservationSeries:
         with pytest.raises(MetricError):
             ObservationSeries(times=np.array([0.0, 1.0]))
 
+    @pytest.mark.parametrize("hormone", ["acth", "cortisol"])
+    def test_empty_rejected(self, hormone):
+        # used to be accepted: objective then raised a raw ValueError from
+        # IntegrationConfig.covering (zero-size array to reduction operation)
+        with pytest.raises(MetricError, match="at least one observation time"):
+            ObservationSeries(times=[], **{hormone: []})
+
     def test_length_mismatch(self):
         with pytest.raises(MetricError):
             ObservationSeries(times=np.array([0.0, 1.0]),

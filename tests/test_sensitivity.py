@@ -6,11 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hpa_dynamics import (ConfigError, HormoneState, IntegrationConfig, ParameterSet,
+from hpa_dynamics import (ConfigError, IntegrationConfig, ParameterSet,
                           PARAMETER_NAMES, SensitivityError,
                           correlation_matrix, hill, rank_parameters,
                           si_timeseries)
-from hpa_dynamics import sensitivity
+from hpa_dynamics import integrator, sensitivity
 from hpa_dynamics.parallel import ENV_VAR, worker_count
 
 # frozen daylight plus a long burn-in parks the feedback-free model on its
@@ -31,8 +31,8 @@ def open_loop():
 
 @pytest.fixture
 def runs(monkeypatch):
-    """The scalar runs sensitivity makes, and the (config, member count) of
-    each batch, while the test runs."""
+    """The scalar runs sensitivity makes, and the (config, member count,
+    ``near`` run, result) of each batch, while the test runs."""
     baselines, batches = [], []
     real_scalar, real_batch = sensitivity.integrate, sensitivity.integrate_batch
 
@@ -40,9 +40,10 @@ def runs(monkeypatch):
         baselines.append(real_scalar(*args, **kwargs))
         return baselines[-1]
 
-    def counted_batch(config, sets, output_times=None):
-        batches.append((config, len(sets)))
-        return real_batch(config, sets, output_times=output_times)
+    def counted_batch(config, sets, output_times=None, near=None):
+        trajs = real_batch(config, sets, output_times=output_times, near=near)
+        batches.append((config, len(sets), near, trajs))
+        return trajs
 
     monkeypatch.setattr(sensitivity, "integrate", counted_scalar)
     monkeypatch.setattr(sensitivity, "integrate_batch", counted_batch)
@@ -51,18 +52,17 @@ def runs(monkeypatch):
 
 def one_baseline_one_batch(runs, members, seeded, integration):
     """Check that one scalar baseline run and one batch of ``members`` copies
-    were made, the batch started from the baseline's state at t0 with a
-    one-day burn-in where ``seeded``; forget them and return the baseline."""
+    were made, the batch on the caller's burn-in with the baseline as its
+    ``near`` run, and seeded from it (one burn-in day, settled) just where
+    ``seeded``; forget them and return the baseline."""
     baselines, batches = runs
-    [(config, n)] = batches
+    [(config, n, near, trajs)] = batches
     [base] = baselines
-    assert n == members
-    if seeded:
-        assert config.initial_state == HormoneState(*base.states[0])
-        assert config.burn_in == 1440.0
-    else:
-        assert config.initial_state is None
-        assert config.burn_in == integration.burn_in
+    assert n == members and near is base
+    assert config.initial_state is None and config.burn_in == integration.burn_in
+    # a cold burn-in from the open-loop state never settles on its first day
+    one_settled_day = {(t.burn_in_days, t.burn_in_residual <= 1.0) for t in trajs}
+    assert (one_settled_day == {(1, True)}) == seeded
     baselines.clear()
     batches.clear()
     return base
@@ -250,27 +250,38 @@ class TestRankParameters:
             assert (report.burn_in_days, report.burn_in_residual) == (
                 base.burn_in_days, base.burn_in_residual)
 
-    def test_unsettled_seeded_batch_runs_the_full_burn_in(self, params, monkeypatch):
-        # a seeded batch whose recorded day fails the burn-in's test is
-        # dropped: the report is bit for bit the one from the full burn-in,
-        # which an unconverged baseline gets directly
-        grid = np.arange(0.0, 1441.0, 60.0)
-        real_scalar = sensitivity.integrate
-        monkeypatch.setattr(
-            sensitivity, "integrate", lambda *args, **kwargs: replace(
-                real_scalar(*args, **kwargs), burn_in_residual=np.inf))
-        full = rank_parameters(params, grid=grid)
-        monkeypatch.setattr(sensitivity, "integrate", real_scalar)
-        monkeypatch.setattr(sensitivity, "_day_change", lambda *args: np.inf)
-        fallback = rank_parameters(params, grid=grid)
-        assert fallback.burn_in_residual <= 1.0
-        assert fallback.ranking == full.ranking
-        assert fallback.fd_unstable == full.fd_unstable
-        assert fallback.skipped == full.skipped
-        assert fallback.si_aggregate == full.si_aggregate
-        assert np.array_equal(fallback.correlation, full.correlation)
-        for name in PARAMETER_NAMES:
-            assert np.array_equal(fallback.si_series[name], full.si_series[name])
+    def test_unsettled_seeded_batch_marches_on(self, params, report, monkeypatch):
+        # a seeded batch whose recorded day fails the burn-in's test marches
+        # on a day and records the window again: its report is the settled
+        # one's up to one more contracting day (1.1e-9 of a series' largest
+        # magnitude at worst)
+        real_batch, real_change = sensitivity.integrate_batch, integrator._day_change
+        days = []
+
+        def fails_first_check(*args, **kwargs):
+            # installed after the baseline's burn-in, before the batch's check
+            checks = []
+
+            def change(*a):
+                checks.append(a)
+                return np.inf if len(checks) == 1 else real_change(*a)
+
+            monkeypatch.setattr(integrator, "_day_change", change)
+            trajs = real_batch(*args, **kwargs)
+            days.append(trajs[0].burn_in_days)
+            return trajs
+
+        monkeypatch.setattr(sensitivity, "integrate_batch", fails_first_check)
+        later = rank_parameters(params)
+        assert days == [2]
+        assert later.burn_in_residual <= 1.0
+        assert later.ranking == report.ranking
+        assert later.fd_unstable == report.fd_unstable
+        assert later.skipped == report.skipped
+        for name in report.parameter_names:
+            shared = report.si_series[name]
+            assert np.max(np.abs(later.si_series[name] - shared)) <= (
+                1e-7 * np.max(np.abs(shared)))
 
     def test_feedback_free_skips_undefined_parameters(self, open_loop):
         report = rank_parameters(open_loop, grid=SHORT_GRID, integration=SHORT_CFG)
