@@ -51,6 +51,14 @@ class FitSettings:
                            f"{self.upper_scale}")
         _check_fit_args(self.budget, self.seed, self.n_starts)
 
+    def problem(self, base: ParameterSet, integration: IntegrationConfig) -> "FitProblem":
+        """The fit these settings pose about ``base``."""
+        vals = np.array([getattr(base, n) for n in self.free])
+        return FitProblem(base=base, free_names=self.free, lower=self.lower_scale * vals,
+                          upper=self.upper_scale * vals, objective_kind=self.objective,
+                          w_acth=self.w_acth, w_cortisol=self.w_cortisol,
+                          integration=integration)
+
 
 @dataclass(frozen=True)
 class FitProblem:

@@ -1,21 +1,28 @@
 """Command-line front end: simulate, validate, fit, sensitivity, daylight.
 
-Exit codes: 0 success, 1 input or file-system error, 2 numerical failure.
+``main`` is the one run loop: it reads the config (flags applied) and any
+``--data``, runs the command, which only computes and returns its files as
+``{name: (header, rows)}``, and only then writes them and ``manifest.txt``
+under ``--out``, so a refused run leaves no ``--out`` behind.
+
+Exit codes: 0 success, 1 input error (usage, config, data or file system),
+2 numerical failure; either error prints one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .calibration import FitProblem, fit as run_fit
-from .errors import HpaError, IntegrationError
-from .integrator import _output_grid, integrate
-from .io import RunConfig, parse_config, parse_observations, write_csv, write_manifest
+from .calibration import fit as run_fit
+from .errors import ConfigError, HpaError, IntegrationError
+from .integrator import _DAY, _output_grid, integrate
+from .io import parse_config, parse_observations, write_csv, write_manifest
 from .metrics import score_fit
 from .model import daylight
 from .sensitivity import rank_parameters
@@ -23,20 +30,6 @@ from .sensitivity import rank_parameters
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NUMERICAL = 2
-
-
-def _load_config(args) -> RunConfig:
-    flags = (("integrate.t_end_min", "t_end"), ("fit.seed", "seed"),
-             ("fit.free", "free"), ("out.dir", "out"))
-    overrides = [(key, getattr(args, name)) for key, name in flags
-                 if getattr(args, name, None) is not None]
-    return parse_config(args.config, overrides)
-
-
-def _out_dir(config: RunConfig) -> Path:
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _warn_unconverged(traj):
@@ -49,10 +42,21 @@ def _warn_unconverged(traj):
               file=sys.stderr)
 
 
-def _write_scores(config: RunConfig, params, obs) -> Path:
-    """Score ``params`` on the observation times, as ``objective`` does, then
-    make the output directory and write ``scores.csv`` there; returns it."""
-    traj = integrate(config.integration.covering(obs.times), params,
+def cmd_simulate(config, obs):
+    traj = integrate(config.integration, config.params)
+    _warn_unconverged(traj)
+    return {"trajectory.csv": (["t_min", "crh", "acth", "cortisol"],
+                               zip(traj.times, traj.crh, traj.acth, traj.cortisol))}
+
+
+def cmd_daylight(config, obs):
+    times = _output_grid(0.0, _DAY, config.integration.output_dt)
+    return {"daylight.csv": (["t_min", "D"], ((t, daylight(t)) for t in times))}
+
+
+def cmd_validate(config, obs):
+    """Score the config's parameters on the observation times, as ``objective`` does."""
+    traj = integrate(config.integration.covering(obs.times), config.params,
                      output_times=np.unique(obs.times))
     _warn_unconverged(traj)
     score = score_fit(traj, obs)
@@ -61,128 +65,96 @@ def _write_scores(config: RunConfig, params, obs) -> Path:
         rows.append(("acth", score.mape_acth, score.rmse_acth))
     if score.mape_cortisol is not None:
         rows.append(("cortisol", score.mape_cortisol, score.rmse_cortisol))
-    out = _out_dir(config)
-    write_csv(out / "scores.csv", ["hormone", "mape_pct", "rmse"], rows)
-    return out
+    return {"scores.csv": (["hormone", "mape_pct", "rmse"], rows)}
 
 
-def cmd_simulate(args) -> int:
-    config = _load_config(args)
-    traj = integrate(config.integration, config.params)
-    _warn_unconverged(traj)
-    out = _out_dir(config)
-    write_csv(out / "trajectory.csv", ["t_min", "crh", "acth", "cortisol"],
-              zip(traj.times, traj.crh, traj.acth, traj.cortisol))
-    write_manifest(out / "manifest.txt", "simulate", config, __version__)
-    return EXIT_OK
-
-
-def cmd_daylight(args) -> int:
-    config = _load_config(args)
-    times = _output_grid(0.0, 1440.0, config.integration.output_dt)
-    out = _out_dir(config)
-    write_csv(out / "daylight.csv", ["t_min", "D"],
-              ((t, daylight(t)) for t in times))
-    write_manifest(out / "manifest.txt", "daylight", config, __version__)
-    return EXIT_OK
-
-
-def cmd_validate(args) -> int:
-    config = _load_config(args)
-    obs = parse_observations(args.data)
-    out = _write_scores(config, config.params, obs)
-    write_manifest(out / "manifest.txt", "validate", config, __version__,
-                   extra={"data": args.data})
-    return EXIT_OK
-
-
-def cmd_fit(args) -> int:
-    config = _load_config(args)
-    obs = parse_observations(args.data)
+def cmd_fit(config, obs):
     fs = config.fit
-    base_vals = np.array([getattr(config.params, n) for n in fs.free])
-    prob = FitProblem(base=config.params, free_names=fs.free,
-                      lower=fs.lower_scale * base_vals,
-                      upper=fs.upper_scale * base_vals,
-                      objective_kind=fs.objective,
-                      w_acth=fs.w_acth, w_cortisol=fs.w_cortisol,
-                      integration=config.integration)
-    result = run_fit(prob, obs, budget=fs.budget, seed=fs.seed,
-                     n_starts=fs.n_starts)
-    out = _write_scores(config, result.fitted, obs)
+    result = run_fit(fs.problem(config.params, config.integration), obs,
+                     budget=fs.budget, seed=fs.seed, n_starts=fs.n_starts)
     rows = [(name, getattr(result.fitted, name)) for name in fs.free]
     rows.append(("objective_value", result.objective_value))
     rows.append(("evaluations", result.evaluations))
     rows.append(("converged", 1 if result.converged else 0))
-    write_csv(out / "fitted_parameters.csv", ["parameter", "value"], rows)
-    write_manifest(out / "manifest.txt", "fit", config, __version__,
-                   extra={"data": args.data})
-    return EXIT_OK
+    # the fitted parameters' scores, as validate writes them
+    return {**cmd_validate(replace(config, params=result.fitted), obs),
+            "fitted_parameters.csv": (["parameter", "value"], rows)}
 
 
-def cmd_sensitivity(args) -> int:
-    config = _load_config(args)
+def cmd_sensitivity(config, obs):
     integ = config.integration
     report = rank_parameters(config.params, grid=config.sens.grid(integ),
                              rel_step=config.sens.rel_step, integration=integ)
     _warn_unconverged(report)
     for name, reason in report.skipped:
         print(f"warning: {name} has no row: {reason}", file=sys.stderr)
-    out = _out_dir(config)
     rank_of = {name: i + 1 for i, name in enumerate(report.ranking)}
-    write_csv(out / "sensitivity.csv", ["parameter", "si_aggregate", "rank"],
-              ((n, report.si_aggregate[n], rank_of[n])
-               for n in report.parameter_names))
-    write_csv(out / "correlation.csv", ["parameter", *report.parameter_names],
-              ((name, *report.correlation[i])
-               for i, name in enumerate(report.parameter_names)))
-    write_manifest(out / "manifest.txt", "sensitivity", config, __version__)
-    return EXIT_OK
+    names = report.parameter_names
+    return {"sensitivity.csv": (["parameter", "si_aggregate", "rank"],
+                                ((n, report.si_aggregate[n], rank_of[n]) for n in names)),
+            "correlation.csv": (["parameter", *names], ((n, *report.correlation[i])
+                                                        for i, n in enumerate(names)))}
+
+
+#: flag -> (config key it sets, metavar, help)
+FLAGS = {
+    "--out": ("out.dir", "DIR", "output directory"),
+    "--t-end": ("integrate.t_end_min", "MIN", "simulation end time (minutes)"),
+    "--seed": ("fit.seed", "N", "multi-start RNG seed"),
+    "--free": ("fit.free", "NAMES", "comma-separated free parameters"),
+}
+_EVERY_COMMAND = ("--out", "--t-end")
+
+#: command -> (function, help, reads --data, its flags besides --config,
+#: --out and --t-end)
+COMMANDS = {
+    "simulate": (cmd_simulate, "integrate and export a trajectory", False, ()),
+    "validate": (cmd_validate, "score a config against data", True, ()),
+    "fit": (cmd_fit, "estimate free parameters from data", True, ("--seed", "--free")),
+    "sensitivity": (cmd_sensitivity, "parameter sensitivity report", False, ()),
+    "daylight": (cmd_daylight, "export the daylight forcing", False, ()),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A usage error is an input error: one ``error:`` line, exit 1."""
+        raise ConfigError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hpa-dyn",
-        description="Circadian HPA-axis hormone model: simulation, "
-                    "calibration, validation and sensitivity analysis.")
+    parser = _Parser(prog="hpa-dyn", description="Circadian HPA-axis hormone model: "
+                     "simulation, calibration, validation and sensitivity analysis.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp, data=False, fit_flags=False):
+    for name, (_, help_text, reads_data, flags) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", metavar="PATH", help="run config file")
-        sp.add_argument("--out", metavar="DIR", help="output directory")
-        sp.add_argument("--t-end", metavar="MIN",
-                        help="simulation end time (minutes)")
-        if data:
+        if reads_data:
             sp.add_argument("--data", metavar="PATH", required=True,
                             help="observation CSV (time_min,acth_pg_ml,cortisol_ug_dl)")
-        if fit_flags:
-            sp.add_argument("--seed", metavar="N",
-                            help="multi-start RNG seed")
-            sp.add_argument("--free", metavar="NAMES",
-                            help="comma-separated free parameters")
-
-    common(sub.add_parser("simulate", help="integrate and export a trajectory"))
-    common(sub.add_parser("validate", help="score a config against data"),
-           data=True)
-    common(sub.add_parser("fit", help="estimate free parameters from data"),
-           data=True, fit_flags=True)
-    common(sub.add_parser("sensitivity", help="parameter sensitivity report"))
-    common(sub.add_parser("daylight", help="export the daylight forcing"))
-
-    sub.choices["simulate"].set_defaults(func=cmd_simulate)
-    sub.choices["validate"].set_defaults(func=cmd_validate)
-    sub.choices["fit"].set_defaults(func=cmd_fit)
-    sub.choices["sensitivity"].set_defaults(func=cmd_sensitivity)
-    sub.choices["daylight"].set_defaults(func=cmd_daylight)
+        for flag in (*_EVERY_COMMAND, *flags):
+            key, metavar, flag_help = FLAGS[flag]
+            # the config key is the flag's destination
+            sp.add_argument(flag, dest=key, metavar=metavar, help=flag_help)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        run, _, reads_data, _ = COMMANDS[args.command]
+        overrides = [(key, getattr(args, key)) for key, _, _ in FLAGS.values()
+                     if getattr(args, key, None) is not None]
+        config = parse_config(args.config, overrides)
+        obs = parse_observations(args.data) if reads_data else None
+        files = run(config, obs)
+        out = Path(config.out_dir)
+        for name, (header, rows) in files.items():
+            write_csv(out / name, header, rows)
+        write_manifest(out / "manifest.txt", args.command, config, __version__,
+                       extra={"data": args.data} if reads_data else None)
+        return EXIT_OK
     except (HpaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL if isinstance(exc, IntegrationError) else EXIT_INPUT

@@ -45,6 +45,10 @@ _E6 = _B6 - 0.25
 
 _SAFETY = 0.9
 _MIN_STEP = 1e-6
+# the clock's range: below 2**33 min (16,000 years) floats are at most 2**-20
+# min apart, finer than _MIN_STEP, so every step moves the clock and a day
+# of burn-in lasts 1440 min; at 2**33 the spacing passes _MIN_STEP
+_MAX_CLOCK = 2.0 ** 33
 _MAX_STEP = 60.0
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
@@ -89,6 +93,12 @@ class IntegrationConfig:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise IntegrationError(f"{name} must be finite, got {value}")
+        for name, what, t in (("t0", "t0", self.t0), ("t_end", "t_end", self.t_end),
+                              ("burn_in", "t0 - burn_in", self.t0 - self.burn_in)):
+            if not abs(t) < _MAX_CLOCK:
+                raise IntegrationError(
+                    f"{name} out of the clock's range: |{what}| = {abs(t):g} min reaches "
+                    f"2**33 min, where the float spacing passes the smallest step")
         if not self.t_end >= self.t0:
             raise IntegrationError(f"t_end ({self.t_end}) < t0 ({self.t0})")
         if not self.dt > 0:

@@ -7,7 +7,7 @@ import pytest
 
 from hpa_dynamics import FitProblem, integrator, objective
 from hpa_dynamics.io import parse_config, parse_observations
-from hpa_dynamics.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, main
+from hpa_dynamics.cli import COMMANDS, EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, main
 
 DATA = str(Path(__file__).resolve().parents[1] / "data" / "synthetic_observations.csv")
 FAST_CFG = (
@@ -284,7 +284,9 @@ class TestExitCodes:
         # a 2-time grid, which no correlation matrix accepts
         ("sensitivity", "sens.grid_dt_min = 1440\n"),
         # bounds of 0 x the base value, which FitProblem refuses
-        ("fit", "model.phi = 0\nfit.free = phi\n")])
+        ("fit", "model.phi = 0\nfit.free = phi\n"),
+        # exited 0 with the open-loop start as its only row
+        ("simulate", "integrate.t0_min = 1e20\nintegrate.t_end_min = 1e20\n")])
     def test_unusable_settings_refused(self, tmp_path, command, text):
         cfg = write_cfg(tmp_path, text)
         out = tmp_path / "o"
@@ -301,26 +303,31 @@ class TestExitCodes:
         assert run("simulate", "--config", str(cfg),
                    "--out", str(tmp_path / "o")) == EXIT_NUMERICAL
 
-    def test_fixed_step_past_rk4_bound_refused(self, tmp_path, capsys):
-        # simulate exited 0 with a last row of CRH 1.18e13 and ACTH -1.18e12;
-        # once refused, simulate and validate left an empty --out directory
-        # and fit one holding fitted_parameters.csv
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_refused_run_writes_nothing(self, tmp_path, capsys, command):
+        # each command refuses this while it computes: simulate exited 0 with
+        # a last row of CRH 1.18e13 and ACTH -1.18e12; once refused,
+        # simulate and validate left an empty --out directory and fit one
+        # holding fitted_parameters.csv. main writes only after the command
+        # returns, so no command can leave --out behind
         cfg = write_cfg(tmp_path, "model.h1 = 1\nintegrate.mode = fixed\n"
                         "integrate.dt_min = 5\nintegrate.burn_in_min = 0\n"
-                        "integrate.t_end_min = 60\n")
-        for command in ("simulate", "validate", "fit"):
-            out = tmp_path / command
-            data = ("--data", DATA) if command != "simulate" else ()
-            assert run(command, "--config", str(cfg), "--out", str(out),
-                       *data) == EXIT_NUMERICAL
-            err = capsys.readouterr().err
-            assert err.startswith("error: ") and err.count("\n") == 1
-            assert "stability bound" in err
-            assert not out.exists()
+                        "integrate.t_end_min = 60\n"
+                        # the one grid daylight builds
+                        "integrate.output_dt_min = 1e-320\n")
+        out = tmp_path / "o"
+        data = ("--data", DATA) if COMMANDS[command][2] else ()
+        assert run(command, "--config", str(cfg), "--out", str(out),
+                   *data) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert ("output grid" if command == "daylight" else "stability bound") in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, text", [
         pytest.param("simulate", text, id=text)
-        for text in ("integrate.burn_in_min = 1e15\n",
+        # 1e9 min of burn-in: 1.7e7 steps of 60 min, inside the clock's range
+        for text in ("integrate.burn_in_min = 1e9\n",
                      "integrate.output_dt_min = 1e-9\n",
                      "integrate.mode = fixed\nintegrate.dt_min = 1e-9\n")] + [
         # grids the commands build themselves: refused before allocation
@@ -334,6 +341,24 @@ class TestExitCodes:
                    "--out", str(tmp_path / "o")) == EXIT_NUMERICAL
         # simulate and daylight made their --out directory before refusing
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (("simulate", "--bogus"), "unrecognized arguments: --bogus"),
+        (("validate",), "the following arguments are required: --data"),
+        ((), "the following arguments are required: command"),
+        (("simulate", "--seed", "3"), "unrecognized arguments: --seed 3"),
+        (("sample",), "argument command: invalid choice: 'sample' (choose from "
+                      "'simulate', 'validate', 'fit', 'sensitivity', 'daylight')")])
+    def test_usage_error_is_input_error(self, capsys, argv, message):
+        # each exited 2, the numerical-failure code, after argparse's usage block
+        assert run(*argv) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_help_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("fit", "--help")
+        assert exc.value.code == 0
+        assert "--free NAMES" in capsys.readouterr().out
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -83,3 +83,8 @@ def test_command_rhs_calls(tmp_path, monkeypatch, command, flags, text, expected
     cfg.write_text(text, encoding="utf-8")
     argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out"), *flags]
     assert _count_rhs(monkeypatch, lambda: cli.main(argv)) == (expected, cli.EXIT_OK)
+
+
+def test_every_command_has_a_row():
+    # a command added to the CLI's table gets a ledger row too
+    assert sorted(row[0] for row in COMMANDS) == sorted(cli.COMMANDS)

@@ -128,6 +128,33 @@ class TestIntegrationConfig:
         with pytest.raises(IntegrationError, match=name):
             IntegrationConfig(**{name: value})
 
+    @pytest.mark.parametrize("settings, name", [
+        ({"t0": 1e20, "t_end": 1e20}, "t0"),
+        ({"t0": -2.0 ** 33}, "t0"),
+        ({"t_end": 2.0 ** 33}, "t_end"),
+        ({"t_end": 1e12}, "t_end"),
+        ({"burn_in": 1e12}, "burn_in"),
+        ({"t0": 1440.0 - 2.0 ** 33, "burn_in": 1440.0}, "burn_in")])
+    def test_clock_range_refused(self, settings, name):
+        # t0 = t_end = 1e20 returned the open-loop start as the state at t0,
+        # with burn_in_days 1 and residual 0: t0 - 1440 rounds to t0, so a
+        # burn-in day lasted 0 min; at 1.44e15 the march spun through its
+        # whole step budget first
+        with pytest.raises(IntegrationError, match=f"^{name} out of the clock's range"):
+            IntegrationConfig(**settings)
+
+    def test_clock_range_bound(self):
+        # inside the bound floats are finer than the smallest step; at it, not
+        bound = integrator._MAX_CLOCK
+        inside = math.nextafter(bound, 0.0)
+        assert math.ulp(inside) < integrator._MIN_STEP <= math.ulp(bound)
+        IntegrationConfig(t0=-inside, t_end=inside, burn_in=0.0)
+
+    def test_late_start_reaches_the_same_attractor(self, params):
+        # a million days on the forcing has the same phase
+        late = integrate(IntegrationConfig(t0=1.44e9, t_end=1.44e9), params)
+        ref = integrate(IntegrationConfig(t0=0.0, t_end=0.0), params)
+        assert np.allclose(late.states, ref.states, rtol=1e-9, atol=0.0)
 
     def test_covering(self):
         cfg = IntegrationConfig(t0=60.0, t_end=600.0)
@@ -481,8 +508,8 @@ class TestStepBudget:
         {"mode": "fixed", "dt": 1e-4},                  # window
         {"mode": "fixed", "burn_in": 1e9},              # burn-in
         {"mode": "fixed", "dt": 1e-320},                # step count overflows
-        {"burn_in": 1e12},                              # adaptive burn-in
-        {"t_end": 1e12},                                # adaptive window
+        {"burn_in": 1e9},                               # adaptive burn-in
+        {"t_end": 1e9},                                 # adaptive window
         {"output_dt": 1e-9},                            # 1.4e12 output points
     ])
     def test_refused_before_any_step(self, params, settings, monkeypatch):

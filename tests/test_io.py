@@ -187,7 +187,10 @@ class TestParseConfig:
         ("# step\nintegrate.dt_min = 0\n", "line 2: integrate.dt_min must be > 0, got 0.0"),
         ("out.dir = a\nfit.seed = -1\n", "line 2: fit.seed must be >= 0, got -1"),
         ("sens.grid_dt_min = 0\n", "line 1: sens.grid_dt_min must be > 0, got 0.0"),
-        ("model.k5 = -1\n", "line 1: model.k5 must be >= 0, got -1.0")])
+        ("model.k5 = -1\n", "line 1: model.k5 must be >= 0, got -1.0"),
+        ("integrate.burn_in_min = 1e15\n",
+         "line 1: integrate.burn_in_min out of the clock's range: |t0 - burn_in| = "
+         "1e+15 min reaches 2**33 min, where the float spacing passes the smallest step")])
     def test_section_refusal_names_key_and_line(self, tmp_path, text, message):
         # integrate.dt_min = 0 was reported as "integrate.dt must be > 0",
         # and no section's refusal carried a line number
