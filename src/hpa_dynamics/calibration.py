@@ -53,11 +53,16 @@ class FitSettings:
 
     def problem(self, base: ParameterSet, integration: IntegrationConfig) -> "FitProblem":
         """The fit these settings pose about ``base``."""
-        vals = np.array([getattr(base, n) for n in self.free])
-        return FitProblem(base=base, free_names=self.free, lower=self.lower_scale * vals,
-                          upper=self.upper_scale * vals, objective_kind=self.objective,
-                          w_acth=self.w_acth, w_cortisol=self.w_cortisol,
-                          integration=integration)
+        return FitProblem(base=base, free_names=self.free,
+                          lower=_scaled(base, self.free, self.lower_scale),
+                          upper=_scaled(base, self.free, self.upper_scale),
+                          objective_kind=self.objective, w_acth=self.w_acth,
+                          w_cortisol=self.w_cortisol, integration=integration)
+
+
+def _scaled(base: ParameterSet, names, scale) -> np.ndarray:
+    """A bound: ``scale`` times the base value of each named parameter."""
+    return scale * np.array([getattr(base, n) for n in names])
 
 
 @dataclass(frozen=True)
@@ -75,11 +80,10 @@ class FitProblem:
 
     def __post_init__(self):
         _check_problem(self.free_names, self.objective_kind, self.w_acth, self.w_cortisol)
-        base_vals = np.array([getattr(self.base, n) for n in self.free_names])
         lower = (np.asarray(self.lower, dtype=float) if self.lower is not None
-                 else FitSettings.lower_scale * base_vals)
+                 else _scaled(self.base, self.free_names, FitSettings.lower_scale))
         upper = (np.asarray(self.upper, dtype=float) if self.upper is not None
-                 else FitSettings.upper_scale * base_vals)
+                 else _scaled(self.base, self.free_names, FitSettings.upper_scale))
         if lower.shape != (len(self.free_names),) or upper.shape != lower.shape:
             raise FitError("bounds must match the number of free parameters")
         # written so that a nan bound fails it too

@@ -45,8 +45,9 @@ def _warn_unconverged(traj):
 def cmd_simulate(config, obs):
     traj = integrate(config.integration, config.params)
     _warn_unconverged(traj)
+    # one float array, which write_csv formats a block of rows at a time
     return {"trajectory.csv": (["t_min", "crh", "acth", "cortisol"],
-                               zip(traj.times, traj.crh, traj.acth, traj.cortisol))}
+                               np.column_stack((traj.times, traj.states)))}
 
 
 def cmd_daylight(config, obs):
@@ -140,8 +141,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refuse_early_flag(argv):
+    """A command's flag before the command: argparse would read its value
+    as the command (``--out x simulate``: "invalid choice: 'x'")."""
+    for arg in argv:
+        if arg in COMMANDS:
+            return
+        flag = arg.split("=", 1)[0]
+        if flag in ("--config", "--data", *FLAGS):
+            raise ConfigError(f"{flag} comes before the command; "
+                              "flags go after the command")
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        _refuse_early_flag(argv)
         args = build_parser().parse_args(argv)
         run, _, reads_data, _ = COMMANDS[args.command]
         overrides = [(key, getattr(args, key)) for key, _, _ in FLAGS.values()

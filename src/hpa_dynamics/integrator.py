@@ -211,7 +211,10 @@ def _kernels(p):
 
 
 def _rk4_step(t, y, k1, dt, p, d_const, rhs):
-    """One classical RK4 step; ``k1`` is ``rhs`` at (t, y), as in ``_ck_step``."""
+    """One classical RK4 step; ``k1`` is ``rhs`` at (t, y), as in ``_ck_step``.
+
+    Returns (y_new, forcing at t + dt), the second for the march to reuse.
+    """
     R, A, C = y
     k1R, k1A, k1C = k1
     half = 0.5 * dt
@@ -222,21 +225,24 @@ def _rk4_step(t, y, k1, dt, p, d_const, rhs):
                         p, d_mid)
     k3R, k3A, k3C = rhs(t_mid, R + half * k2R, A + half * k2A, C + half * k2C,
                         p, d_mid)
-    k4R, k4A, k4C = rhs(t + dt, R + dt * k3R, A + dt * k3A, C + dt * k3C,
-                        p, d_const)
+    t_end = t + dt
+    d_end = daylight(t_end) if d_const is None else d_const
+    k4R, k4A, k4C = rhs(t_end, R + dt * k3R, A + dt * k3A, C + dt * k3C, p, d_end)
     sixth = dt / 6.0
     return (R + sixth * (k1R + 2.0 * (k2R + k3R) + k4R),
             A + sixth * (k1A + 2.0 * (k2A + k3A) + k4A),
-            C + sixth * (k1C + 2.0 * (k2C + k3C) + k4C))
+            C + sixth * (k1C + 2.0 * (k2C + k3C) + k4C)), d_end
 
 
 def _ck_step(t, y, k1, h, p, d_const, rhs):
-    """One Cash-Karp stage evaluation: returns (y5, error_estimate).
+    """One Cash-Karp stage evaluation: returns (y5, error estimate, forcing
+    at t + h).
 
     ``k1`` is ``rhs`` at (t, y), which the march keeps: it is the previous
     step's end derivative, and a retry after a rejected step reuses it.
     Unrolled over the three state components; works unchanged on floats
-    and on ``(N,)`` arrays.
+    and on ``(N,)`` arrays. Stage 5 sits at ``t + 1.0 * h``, the exact float
+    of the step's end, so the march reuses its forcing there.
     """
     R, A, C = y
     k1R, k1A, k1C = k1
@@ -253,11 +259,13 @@ def _ck_step(t, y, k1, h, p, d_const, rhs):
                         R + h * (_A41 * k1R + _A42 * k2R + _A43 * k3R),
                         A + h * (_A41 * k1A + _A42 * k2A + _A43 * k3A),
                         C + h * (_A41 * k1C + _A42 * k2C + _A43 * k3C), p, d_const)
-    k5R, k5A, k5C = rhs(t + _C5 * h,
+    t5 = t + _C5 * h
+    d5 = daylight(t5) if d_const is None else d_const
+    k5R, k5A, k5C = rhs(t5,
                         R + h * (_A51 * k1R + _A52 * k2R + _A53 * k3R + _A54 * k4R),
                         A + h * (_A51 * k1A + _A52 * k2A + _A53 * k3A + _A54 * k4A),
                         C + h * (_A51 * k1C + _A52 * k2C + _A53 * k3C + _A54 * k4C),
-                        p, d_const)
+                        p, d5)
     k6R, k6A, k6C = rhs(t + _C6 * h,
                         R + h * (_A61 * k1R + _A62 * k2R + _A63 * k3R
                                  + _A64 * k4R + _A65 * k5R),
@@ -271,7 +279,7 @@ def _ck_step(t, y, k1, h, p, d_const, rhs):
     err = (h * (_E1 * k1R + _E3 * k3R + _E4 * k4R + _E5 * k5R + _E6 * k6R),
            h * (_E1 * k1A + _E3 * k3A + _E4 * k4A + _E5 * k5A + _E6 * k6A),
            h * (_E1 * k1C + _E3 * k3C + _E4 * k4C + _E5 * k5C + _E6 * k6C))
-    return y5, err
+    return y5, err, d5
 
 
 def _record_due(t, y, output_times, out_idx, states):
@@ -319,15 +327,20 @@ def _control(h, err_norm, err_prev):
     """PI step-size controller after trying a step of size h.
 
     Returns the next step size and the error memory for the next call.
+    The clamps are ``min``/``max`` calls written out, for speed; a nan
+    norm's factor fails ``> _MIN_FACTOR``, as ``max`` drops it, and rejects
+    at the minimum factor.
     """
     if err_norm <= 1.0:
-        e = max(err_norm, 1e-10)
+        e = 1e-10 if err_norm < 1e-10 else err_norm
         factor = _SAFETY * e ** (-_PI_ALPHA) * err_prev ** _PI_BETA
         err_prev = e
     else:
-        factor = max(_MIN_FACTOR, _SAFETY * err_norm ** (-_PI_ALPHA))
-    factor = min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-    return min(_MAX_STEP, h * factor), err_prev
+        factor = _SAFETY * err_norm ** (-_PI_ALPHA)
+    factor = (_MAX_FACTOR if factor > _MAX_FACTOR
+              else factor if factor > _MIN_FACTOR else _MIN_FACTOR)
+    h = h * factor
+    return (h if h < _MAX_STEP else _MAX_STEP), err_prev
 
 
 def _march(t_start, stops, y, p, config: IntegrationConfig, output_times=(),
@@ -369,25 +382,29 @@ def _march(t_start, stops, y, p, config: IntegrationConfig, output_times=(),
                 raise IntegrationError(f"more than {_MAX_STEPS} steps tried by t={t}",
                                        t=t)
             h_free = h
-            h_try = min(h, t_stop - t)
+            h_try = t_stop - t if t_stop - t < h else h
+            # d_end: the forcing at t_new, which the stepper's last stage took
             if fixed:
-                y_new = _rk4_step(t, y, k1, h_try, p, d_const, rhs)
+                y_new, d_end = _rk4_step(t, y, k1, h_try, p, d_const, rhs)
                 n_whole += 1
                 t_new = t_stop if h_try < h else t_base + n_whole * h
+                if t_new != t + h_try:   # a landing or a re-anchored clock
+                    d_end = d_const
             else:
-                y_new, err = _ck_step(t, y, k1, h_try, p, d_const, rhs)
+                y_new, err, d_end = _ck_step(t, y, k1, h_try, p, d_const, rhs)
                 t_new = t + h_try
             check_finite(t_new, y_new)
             err_norm = 0.0 if fixed else error_norm(y, y_new, err, abs_tol, rel_tol)
             if err_norm <= 1.0:
-                k1_new = rhs(t_new, *y_new, p, d_const)
+                k1_new = rhs(t_new, *y_new, p, d_end)
                 if out_idx < n_out:
                     out_idx = _record_dense(t, y, k1, h_try, y_new, k1_new,
                                             output_times, out_idx, states)
                 t, y, k1 = t_new, y_new, k1_new
             if not fixed:
                 # a landing step below _MIN_STEP must not trip the underflow check
-                h, err_prev = _control(max(h_try, _MIN_STEP), err_norm, err_prev)
+                h, err_prev = _control(_MIN_STEP if h_try < _MIN_STEP else h_try,
+                                       err_norm, err_prev)
                 if h < _MIN_STEP:
                     raise IntegrationError(f"step size underflow at t={t}", t=t)
         # t is within 1e-12 of t_stop: the next stretch starts on it exactly,

@@ -348,7 +348,12 @@ class TestExitCodes:
         ((), "the following arguments are required: command"),
         (("simulate", "--seed", "3"), "unrecognized arguments: --seed 3"),
         (("sample",), "argument command: invalid choice: 'sample' (choose from "
-                      "'simulate', 'validate', 'fit', 'sensitivity', 'daylight')")])
+                      "'simulate', 'validate', 'fit', 'sensitivity', 'daylight')"),
+        # a flag before the command is named, not its value as the command
+        (("--out", "x", "simulate"),
+         "--out comes before the command; flags go after the command"),
+        (("--t-end", "5", "simulate"),
+         "--t-end comes before the command; flags go after the command")])
     def test_usage_error_is_input_error(self, capsys, argv, message):
         # each exited 2, the numerical-failure code, after argparse's usage block
         assert run(*argv) == EXIT_INPUT

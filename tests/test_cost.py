@@ -1,4 +1,5 @@
-"""Cost ledger: the model RHS calls of each layer's default call.
+"""Cost ledger: the model RHS calls of each layer's default call, and the
+step tries and forcing evaluations of ``integrate``.
 
 An RHS call is one call of ``integrator._rhs``, for one model or for a
 whole batch. A count moves only when the work a layer does changes: the
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from hpa_dynamics import (FitProblem, IntegrationConfig, cli, fit, integrate,
-                          integrator, objective, rank_parameters, si_timeseries)
+                          integrator, model, objective, rank_parameters, si_timeseries)
 from hpa_dynamics.io import parse_observations
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "synthetic_observations.csv"
@@ -54,19 +55,47 @@ COMMANDS = [
 ]
 
 
-def _count_rhs(monkeypatch, call):
-    """The RHS calls that ``call()`` makes, and what it returns."""
+# the default run, and a fixed-mode run of 2 burn-in and 3 recorded days
+DEFAULT = IntegrationConfig()
+FIXED = IntegrationConfig(mode="fixed", t_end=4320.0)
+
+# (name, call with the reference parameters, (module, function) pairs
+# counted, calls)
+STEPS = [
+    # 1,272 of the step tries are accepted
+    ("_ck_step tries", lambda p: integrate(DEFAULT, p), [(integrator, "_ck_step")], 1293),
+    ("_rk4_step steps", lambda p: integrate(FIXED, p), [(integrator, "_rk4_step")], 14400),
+    # one per stage of a step try (RK4's two midpoints share one), one per
+    # stop and the start state's: an accepted step's end derivative reuses
+    # its last stage's (7,741 and 43,204 when each RHS call took its own)
+    ("daylight adaptive", lambda p: integrate(DEFAULT, p),
+     [(model, "daylight"), (integrator, "daylight")], 6469),
+    ("daylight fixed", lambda p: integrate(FIXED, p),
+     [(model, "daylight"), (integrator, "daylight")], 28804),
+]
+
+
+def _count(monkeypatch, call, places):
+    """The calls of the functions at ``places``, (module, name) pairs, that
+    ``call()`` makes, and what it returns."""
     calls = 0
-    real = integrator._rhs
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return real(*args)
+    def counting(real):
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+        return counted
 
-    monkeypatch.setattr(integrator, "_rhs", counted)
+    for module, name in places:
+        monkeypatch.setattr(module, name, counting(getattr(module, name)))
     result = call()
     return calls, result
+
+
+def _count_rhs(monkeypatch, call):
+    """The RHS calls that ``call()`` makes, and what it returns."""
+    return _count(monkeypatch, call, [(integrator, "_rhs")])
 
 
 @pytest.mark.parametrize("call, expected", [row[1:] for row in LEDGER],
@@ -88,3 +117,9 @@ def test_command_rhs_calls(tmp_path, monkeypatch, command, flags, text, expected
 def test_every_command_has_a_row():
     # a command added to the CLI's table gets a ledger row too
     assert sorted(row[0] for row in COMMANDS) == sorted(cli.COMMANDS)
+
+
+@pytest.mark.parametrize("call, places, expected", [row[1:] for row in STEPS],
+                         ids=[row[0] for row in STEPS])
+def test_step_and_forcing_calls(params, monkeypatch, call, places, expected):
+    assert _count(monkeypatch, lambda: call(params), places)[0] == expected

@@ -110,7 +110,7 @@ def test_fixed_batch_members_equal_their_own_runs():
 
 def test_rk4_step_frozen_daylight_unchanged():
     y, p = (1.5, 20.0, 3.0), ParameterSet()
-    got = _rk4_step(100.0, y, _rhs(100.0, *y, p, 0.7), 0.5, p, 0.7, _rhs)
+    got, _ = _rk4_step(100.0, y, _rhs(100.0, *y, p, 0.7), 0.5, p, 0.7, _rhs)
     assert [v.hex() for v in got] == [
         "0x1.602514e145b82p+0", "0x1.3bd47da767352p+4", "0x1.83716bc8d8265p+1"]
 

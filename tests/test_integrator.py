@@ -12,7 +12,7 @@ from hpa_dynamics import (HormoneState, IntegrationConfig, IntegrationError,
                           integrate, sample, steady_state_open_loop)
 from hpa_dynamics import integrator
 from hpa_dynamics.integrator import _rk4_step, integrate_batch
-from hpa_dynamics.model import _rhs
+from hpa_dynamics.model import _rhs, daylight
 
 SLOW = ParameterSet(h3=0.1 * ParameterSet().h3)   # still drifting after 10 days
 
@@ -45,7 +45,7 @@ class TestStepRk4:
         # |one dt step - two dt/2 steps| is a local O(dt^5) quantity,
         # so halving dt shrinks it by about 32x
         def step(t, y, dt):
-            return _rk4_step(t, y, _rhs(t, *y, params, None), dt, params, None, _rhs)
+            return _rk4_step(t, y, _rhs(t, *y, params, None), dt, params, None, _rhs)[0]
 
         def gap(dt):
             y = burned_state.as_tuple()
@@ -333,6 +333,26 @@ class TestFixedModeOutputTimes:
                   params)
         whole = [(-1440.0 + i * 0.1, 0.1) for i in range(len(seen) - 1)]
         assert len(seen) == 14400 and seen[:-1] == whole
+
+    @pytest.mark.parametrize("settings", [
+        {},                              # adaptive: stage 5 is the step's end
+        {"mode": "fixed", "dt": 0.1},    # whole steps count from the stretch start
+        {"mode": "fixed", "dt": 0.7},    # each day's last step is cut to land
+    ])
+    def test_each_rhs_call_sees_its_own_forcing(self, params, monkeypatch, settings):
+        # a step end's derivative reuses the forcing of the stepper's last
+        # stage only where the two times are the same float
+        times = []
+        original = integrator._rhs
+
+        def spy(t, R, A, C, p, d_const):
+            if d_const is not None and d_const != daylight(t):
+                times.append(t)
+            return original(t, R, A, C, p, d_const)
+
+        monkeypatch.setattr(integrator, "_rhs", spy)
+        integrate(IntegrationConfig(t_end=60.0, burn_in=1440.0, **settings), params)
+        assert times == []
 
     @pytest.mark.parametrize("times", [[], [0.0, 61.0], [-1.0, 30.0]])
     def test_empty_or_outside_rejected(self, params, times):

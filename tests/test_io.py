@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hpa_dynamics import (FitProblem, IntegrationConfig, fit, rank_parameters,
+from hpa_dynamics import (FitProblem, IntegrationConfig, fit, io, rank_parameters,
                           sensitivity, si_timeseries)
 from hpa_dynamics.calibration import FitSettings
 from hpa_dynamics.errors import (ConfigError, FitError, ObservationError,
@@ -389,11 +389,41 @@ class TestParseObservations:
         assert len(parse_observations(path)) == 1
 
 
+# floats whose 12-digit text is easy to get wrong: signed zeros, the
+# subnormal and normal extremes, the largest magnitudes, inf and nan
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-308,
+                -1.5e-310, 1.7976931348623157e308, -1.7976931348623157e308, 9.99e307,
+                float("inf"), float("-inf"), float("nan"), 0.1 + 0.2, 1.0 / 3.0]
+
+
+def _written(rows):
+    """The bytes ``write_csv`` writes for ``rows`` under a three-letter header."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.csv"
+        write_csv(path, ["a", "b", "c"][:np.shape(rows)[1]], rows)
+        return path.read_bytes()
+
+
 class TestWriters:
     def test_write_csv_formatting(self, tmp_path):
         path = tmp_path / "out.csv"
         write_csv(path, ["a", "b"], [(1.0 / 3.0, 2)])
         assert path.read_text() == "a,b\n0.333333333333,2\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda width: st.lists(
+        st.lists(st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats()),
+                 min_size=width, max_size=width), min_size=1, max_size=40)))
+    def test_float_array_matches_cells(self, rows):
+        # the block path writes the bytes that fmt writes cell by cell
+        array = np.array(rows, dtype=float)
+        assert _written(array) == _written([tuple(row) for row in array])
+
+    def test_float_array_one_row_past_a_block(self):
+        array = np.linspace(-1e300, 1e300, 3 * (io._BLOCK_ROWS + 1)).reshape(-1, 3)
+        text = _written(array)
+        assert text == _written([tuple(row) for row in array])
+        assert text.count(b"\n") == 1 + io._BLOCK_ROWS + 1
 
     def test_manifest_is_valid_config(self, tmp_path):
         config = RunConfig()
