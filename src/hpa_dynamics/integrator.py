@@ -10,8 +10,7 @@ is one march that stops at each day end (1440 min, the forcing period) and
 ends as soon as one day leaves every component within ``abs_tol + rel_tol *
 |y|``: that state is a point of the attractor, and so the state at ``t0``.
 ``burn_in`` is the cap. The recorded window is a second, fresh march. A
-batch seeded from a nearby converged run (``integrate_batch``'s ``near``)
-burns in one day and takes its one-day window as the check day.
+batch seeded from a converged nearby run is ordinary solves (``near``).
 """
 
 from __future__ import annotations
@@ -89,7 +88,7 @@ class IntegrationConfig:
     daylight_const: float | None = None  # freeze forcing (testing/analysis)
 
     def __post_init__(self):
-        for name in ("t0", "t_end", "dt", "burn_in", "output_dt"):
+        for name in ("t0", "t_end", "dt", "abs_tol", "rel_tol", "burn_in", "output_dt"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise IntegrationError(f"{name} must be finite, got {value}")
@@ -470,17 +469,15 @@ def _burn_in(config: IntegrationConfig, p, y):
     return y, days, residual
 
 
-def _solve(config: IntegrationConfig, p, y, output_times, seeded=False):
-    """Burn-in plus recorded window from state y, in either mode.
-
-    The window records on ``output_times``, sorted; by default every ``dt``
-    (fixed mode) or ``output_dt`` (adaptive mode) minutes, end inclusive.
-    In both modes its steps do not depend on the output times (see
-    ``_march``). Returns (times, states, burn-in days, burn-in residual);
-    ``states`` has shape (time, 3) for one model and (time, 3, member) for
-    a batch. Fixed mode refuses a ``dt`` that puts the fastest removal rate
-    of any member past RK4's stability bound. A ``seeded`` run marches one
-    unchecked day; its one-period window is the check day (``integrate_batch``).
+def _solve(config: IntegrationConfig, p, y, output_times):
+    """``_burn_in`` from state y, then the window as one fresh march, in
+    either mode, recording on ``output_times``, sorted; by default every
+    ``dt`` (fixed mode) or ``output_dt`` (adaptive mode) minutes, end
+    inclusive. Its steps do not depend on the output times (``_march``).
+    Returns (times, states, burn-in days, burn-in residual); ``states`` has
+    shape (time, 3) for one model and (time, 3, member) for a batch. Fixed
+    mode refuses a ``dt`` that puts the fastest removal rate of any member
+    past RK4's stability bound.
     """
     fixed = config.mode == "fixed"
     if fixed:
@@ -510,20 +507,10 @@ def _solve(config: IntegrationConfig, p, y, output_times, seeded=False):
         lo, hi = config.t0 - _LAND_TOL, config.t_end + _LAND_TOL
         if not all(lo <= t <= hi for t in output_times):
             raise IntegrationError("output times outside [t0, t_end]")
-    if seeded:
-        y, days = next(_march(config.t0 - _DAY, [config.t0], y, p, config)), 1
-    else:
-        y, days, residual = _burn_in(config, p, y)
+    y, days, residual = _burn_in(config, p, y)
     states = np.empty((len(output_times),) + np.shape(y))
-    while True:
-        # a fresh march: the window does not inherit the burn-in's step size
-        y_end = next(_march(config.t0, [config.t_end], y, p, config, output_times, states))
-        if seeded:
-            residual = _day_change(y, y_end, config.abs_tol, config.rel_tol)
-        if not seeded or residual <= 1.0 or days >= config.burn_in // _DAY:
-            break
-        # the window's end is the state at t0 one period on: march that day
-        y, days = y_end, days + 1
+    # a fresh march: the window does not inherit the burn-in's step size
+    next(_march(config.t0, [config.t_end], y, p, config, output_times, states))
     # an interpolated state also reads the derivative at its step's end,
     # which no later step checks after the window's last one
     finite = np.isfinite(states).reshape(len(output_times), -1).all(axis=1)
@@ -563,30 +550,41 @@ def integrate_batch(config: IntegrationConfig, param_sets, output_times=None,
 
     ``near`` is a run of a nearby parameter set over the same window, such
     as a finite-difference baseline. If its burn-in converged, it starts at
-    ``t0`` and the window spans one forcing period (to within 1e-9 min),
-    every member starts from ``near``'s state at ``t0`` and burns in one
-    day: each member's attractor lies within about the parameter offset of
-    ``near``'s, and one day of the contracting day map shrinks that offset
-    by a factor of 1e-12 to 3e-7 (measured over the burn-ins of fits). The
-    recorded window is the check day: until one changes no component beyond
-    the burn-in's tolerance, or ``burn_in``'s whole days are spent, the
-    batch marches on a day from the window's end and records it again.
+    ``t0``, the window spans one forcing period (to within 1e-9 min) and
+    the output times run from ``t0`` to ``t_end``, the batch is ordinary
+    solves: the first from ``near``'s state at ``t0`` with one day of
+    burn-in, which shrinks each member's offset from its attractor (about
+    the parameter offset) by a factor of 1e-12 to 3e-7 (measured over the
+    burn-ins of fits). The recorded day is the check day: until one changes
+    no component beyond the burn-in's tolerance, or ``burn_in``'s whole days
+    are spent, the next solve starts from its end with no burn-in.
     ``burn_in_days`` counts the days before the recorded one, and
     ``burn_in_residual`` is the recorded day's change. Otherwise it runs cold.
     """
     batch = ParameterBatch(param_sets)
+    if output_times is not None:
+        output_times = sorted(float(t) for t in output_times)
     seeded = (near is not None and near.burn_in_residual <= 1.0
               and near.times[0] == config.t0
-              and abs(config.t_end - config.t0 - _DAY) <= _LAND_TOL)
+              and abs(config.t_end - config.t0 - _DAY) <= _LAND_TOL
+              and (output_times is None or output_times[:1] == [config.t0]
+                   and output_times[-1] >= config.t_end - _LAND_TOL))
+    cap = config.burn_in // _DAY
     if seeded:
-        config = replace(config, initial_state=HormoneState(*near.states[0]))
-    t_burn_start = config.t0 - config.burn_in
-    starts = [(config.initial_state or default_initial_state(s, t_burn_start)).as_tuple()
-              for s in batch.sets]
+        config = replace(config, initial_state=HormoneState(*near.states[0]), burn_in=_DAY)
+    starts = [(config.initial_state or default_initial_state(s, config.t0 - config.burn_in))
+              .as_tuple() for s in batch.sets]
     y = tuple(np.array(column) for column in zip(*starts))
     # Hill terms at a zero argument divide by zero by design (see _hill_denominator)
     with np.errstate(divide="ignore", over="ignore"):
-        times, states, days, residual = _solve(config, batch, y, output_times, seeded)
+        times, states, days, residual = _solve(config, batch, y, output_times)
+        while seeded:
+            residual = _day_change(states[0], states[-1], config.abs_tol, config.rel_tol)
+            if residual <= 1.0 or days >= cap:
+                break
+            times, states, _, _ = _solve(replace(config, burn_in=0.0), batch,
+                                         tuple(states[-1]), output_times)
+            days += 1
     # member views of one (member, time, variable) block, not copies
     by_member = states.transpose(2, 0, 1)
     return [Trajectory(times, by_member[i], s, days, residual)

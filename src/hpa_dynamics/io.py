@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import FitSettings
-from .errors import ConfigError, HpaError, ObservationError
+from .errors import ConfigError, HpaError, MetricError, ObservationError
 from .integrator import IntegrationConfig
 from .metrics import ObservationSeries
 from .model import PARAMETER_NAMES, ParameterSet
@@ -248,7 +248,7 @@ def parse_observations(path) -> ObservationSeries:
     try:
         return ObservationSeries(times=times_arr, acth=acth_arr,
                                  cortisol=cort_arr, subject_id=path.stem)
-    except Exception as exc:
+    except MetricError as exc:
         raise ObservationError(str(exc))
 
 

@@ -55,6 +55,8 @@ class SensSettings:
 
     def __post_init__(self):
         _check_rel_step(self.rel_step)
+        if not math.isfinite(self.grid_dt_min):
+            raise SensitivityError(f"grid_dt_min must be finite, got {self.grid_dt_min}")
         if not self.grid_dt_min > 0:
             raise SensitivityError(f"grid_dt_min must be > 0, got {self.grid_dt_min}")
 

@@ -1,5 +1,7 @@
 """Shared fixtures: reference parameters and cached burned-in trajectories."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -46,3 +48,10 @@ def make_observations(traj, times):
     values = sample(traj, times)
     return ObservationSeries(times=np.asarray(times, dtype=float),
                              acth=values[:, 1], cortisol=values[:, 2])
+
+
+def far_copies(p, factor):
+    """Copies of p with k5, then k4, scaled by ``factor``: their attractors
+    lie so far from p's that a batch seeded from p's run does not settle on
+    its first recorded day (2 settles on the second, 3 on the third)."""
+    return [replace(p, k5=factor * p.k5), replace(p, k4=factor * p.k4)]

@@ -11,9 +11,11 @@ says why; one that does not must leave every row as it is.
 from pathlib import Path
 
 import pytest
+from conftest import far_copies
 
 from hpa_dynamics import (FitProblem, IntegrationConfig, cli, fit, integrate,
-                          integrator, model, objective, rank_parameters, si_timeseries)
+                          integrate_batch, integrator, model, objective,
+                          rank_parameters, si_timeseries)
 from hpa_dynamics.io import parse_observations
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "synthetic_observations.csv"
@@ -123,3 +125,19 @@ def test_every_command_has_a_row():
                          ids=[row[0] for row in STEPS])
 def test_step_and_forcing_calls(params, monkeypatch, call, places, expected):
     assert _count(monkeypatch, lambda: call(params), places)[0] == expected
+
+
+# (factor of far_copies, burn-in days, RHS calls of the batch alone): a
+# batch seeded from the default run whose one-day burn-in leaves its
+# recorded day unsettled marches on a day and records the window again,
+# until a day settles
+SEEDED = [(2.0, 2, 9185), (3.0, 3, 16263)]
+
+
+@pytest.mark.parametrize("factor, days, expected", SEEDED, ids=["x2", "x3"])
+def test_seeded_batch_rhs_calls(params, monkeypatch, factor, days, expected):
+    near = integrate(DEFAULT, params)
+    calls, trajs = _count_rhs(monkeypatch, lambda: integrate_batch(
+        DEFAULT, far_copies(params, factor), near=near))
+    assert calls == expected
+    assert {(t.burn_in_days, t.burn_in_residual <= 1.0) for t in trajs} == {(days, True)}

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import far_copies
 
 from hpa_dynamics import (FitProblem, IntegrationConfig, ObservationSeries,
                           ParameterSet, fit, integrate)
@@ -90,6 +91,19 @@ BATCH_CFG = IntegrationConfig(t0=0, t_end=180, burn_in=720, dt=1.0)
 ], ids=["adaptive", "fixed"])
 def test_batch_states_unchanged(mode, expected):
     trajs = integrate_batch(replace(BATCH_CFG, mode=mode), BATCH_SETS)
+    assert digest(np.stack([t.states for t in trajs]).tobytes()) == expected
+
+
+@pytest.mark.parametrize("factor, expected", [
+    (2.0, "e03114b0415ef94fe28b506c4702b8bb624ce76eacf4db69db034bbfe71b970b"),
+    (3.0, "f640099bfb0a177111ccab9823be5b583e3108d61ebd18699aa941d8f63023bd"),
+], ids=["x2", "x3"])
+def test_marched_on_seeded_batch_unchanged(factor, expected):
+    # seeded from the default run, the batch marches on one (x2) or two
+    # (x3) days past its first recorded one, re-recording the window each
+    p = ParameterSet()
+    near = integrate(IntegrationConfig(), p)
+    trajs = integrate_batch(IntegrationConfig(), far_copies(p, factor), near=near)
     assert digest(np.stack([t.states for t in trajs]).tobytes()) == expected
 
 

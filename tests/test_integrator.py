@@ -122,7 +122,10 @@ class TestIntegrationConfig:
         with pytest.raises(IntegrationError):
             IntegrationConfig(mode="euler")
 
-    @pytest.mark.parametrize("name", ["t0", "t_end", "dt", "burn_in", "output_dt"])
+    # abs_tol or rel_tol = inf was accepted, and integrate returned rows off
+    # by 4e139 of the reference's peak with burn_in_residual 0
+    @pytest.mark.parametrize("name", ["t0", "t_end", "dt", "burn_in", "output_dt",
+                                      "abs_tol", "rel_tol"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_rejected(self, name, value):
         with pytest.raises(IntegrationError, match=name):
@@ -519,6 +522,14 @@ class TestIntegrateBatch:
         trajs = integrate_batch(cfg, [params, replace(params, k1=1.0)])
         assert [HormoneState(*traj.states[-1]) for traj in trajs] == [s0, s0]
 
+    def test_zero_acth_warns_nothing(self, params):
+        # at A = 0 a Hill term divides by zero by design; the batch silences
+        # numpy's warning, which the suite's filterwarnings turns into a failure
+        s0 = HormoneState(1.0, 0.0, 1.0)
+        cfg = IntegrationConfig(t0=0, t_end=60, burn_in=0, initial_state=s0)
+        for traj in integrate_batch(cfg, [params, replace(params, k1=1.0)]):
+            assert np.isfinite(traj.states).all()
+
 
 class TestStepBudget:
     """Every integration is refused, or ends, within integrator._MAX_STEPS
@@ -718,20 +729,27 @@ class TestSeededBatch:
             assert (a.burn_in_days, a.burn_in_residual) == (
                 b.burn_in_days, b.burn_in_residual)
 
-    def test_unsettled_check_day_marches_on(self, sets, near, settled, monkeypatch):
-        real = integrator._day_change
-        calls = []
-
-        def fails_once(*args):
-            calls.append(args)
-            return math.inf if len(calls) == 1 else real(*args)
-
-        monkeypatch.setattr(integrator, "_day_change", fails_once)
-        later = integrate_batch(self.CFG, sets, output_times=self.GRID, near=near)
-        assert len(calls) == 2
+    def test_unsettled_check_day_marches_on(self, sets, near, settled):
+        # seeded from ten times near's state at t0, the batch's first
+        # recorded day changes its members beyond the tolerances
+        far = replace(near, states=10.0 * near.states)
+        capped = replace(self.CFG, burn_in=1440.0)
+        for traj in integrate_batch(capped, sets, output_times=self.GRID, near=far):
+            assert traj.burn_in_days == 1 and traj.burn_in_residual > 1.0
+        later = integrate_batch(self.CFG, sets, output_times=self.GRID, near=far)
         for got, ref in zip(later, settled):
             assert got.burn_in_days == 2 and got.burn_in_residual <= 1.0
             assert off_by(got, ref) <= 1e-7
+
+    def test_grid_off_the_window_ends_runs_cold(self, sets, near):
+        # the check day compares the first and last recorded states, so a
+        # grid that misses t0 or t_end cannot seed the batch
+        for grid in (self.GRID[1:], self.GRID[:-1]):
+            got = integrate_batch(self.CFG, sets, output_times=iter(grid), near=near)
+            cold = integrate_batch(self.CFG, sets, output_times=grid)
+            for a, b in zip(got, cold):
+                assert np.array_equal(a.states, b.states)
+                assert a.burn_in_days == b.burn_in_days > 1
 
     def test_never_settled_stops_at_the_cap(self, sets, near, monkeypatch):
         monkeypatch.setattr(integrator, "_day_change", lambda *args: math.inf)

@@ -1,6 +1,7 @@
 """Config parsing, observation CSV ingestion and canonical serialization."""
 
 import inspect
+import math
 import re
 import tempfile
 from pathlib import Path
@@ -277,6 +278,12 @@ class TestParseConfig:
         with pytest.raises(SensitivityError, match="grid_dt_min must be > 0"):
             SensSettings(grid_dt_min=0)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_sensitivity_settings_refuse_a_non_finite_spacing(self, value):
+        # grid_dt_min = inf passed the > 0 test and gave the grid [nan]
+        with pytest.raises(SensitivityError, match="grid_dt_min must be finite"):
+            SensSettings(grid_dt_min=value)
+
     # a line is a known key with fuzzed value, or fuzzed text
     _LINES = st.one_of(
         st.builds("{} = {}".format, st.sampled_from(sorted(SCHEMA)), st.text(max_size=12)),
@@ -348,6 +355,17 @@ class TestParseObservations:
         path = write(tmp_path, "obs.csv", self.HEADER + "0,,\n")
         with pytest.raises(ObservationError):
             parse_observations(path)
+
+    def test_programming_error_is_not_bad_input(self, tmp_path, monkeypatch):
+        # only the series' own refusal (MetricError, as for a file without
+        # hormones above) is an ObservationError; any other failure was
+        # reported as bad input too
+        def broken(**kwargs):
+            raise TypeError("broken series")
+
+        monkeypatch.setattr(io, "ObservationSeries", broken)
+        with pytest.raises(TypeError, match="broken series"):
+            parse_observations(write(tmp_path, "obs.csv", self.HEADER + "0,10,2\n"))
 
     def test_empty_file(self, tmp_path):
         with pytest.raises(ObservationError):

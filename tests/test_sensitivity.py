@@ -10,7 +10,7 @@ from hpa_dynamics import (ConfigError, IntegrationConfig, ParameterSet,
                           PARAMETER_NAMES, SensitivityError,
                           correlation_matrix, hill, rank_parameters,
                           si_timeseries)
-from hpa_dynamics import integrator, sensitivity
+from hpa_dynamics import sensitivity
 from hpa_dynamics.parallel import ENV_VAR, worker_count
 
 # frozen daylight plus a long burn-in parks the feedback-free model on its
@@ -251,27 +251,20 @@ class TestRankParameters:
                 base.burn_in_days, base.burn_in_residual)
 
     def test_unsettled_seeded_batch_marches_on(self, params, report, monkeypatch):
-        # a seeded batch whose recorded day fails the burn-in's test marches
-        # on a day and records the window again: its report is the settled
-        # one's up to one more contracting day (1.1e-9 of a series' largest
-        # magnitude at worst)
-        real_batch, real_change = sensitivity.integrate_batch, integrator._day_change
+        # a batch seeded from ten times the baseline's state at t0 does not
+        # settle on its first recorded day: it marches on a day and records
+        # the window again, and its report is the settled one's up to one
+        # more contracting day
+        real_batch = sensitivity.integrate_batch
         days = []
 
-        def fails_first_check(*args, **kwargs):
-            # installed after the baseline's burn-in, before the batch's check
-            checks = []
-
-            def change(*a):
-                checks.append(a)
-                return np.inf if len(checks) == 1 else real_change(*a)
-
-            monkeypatch.setattr(integrator, "_day_change", change)
-            trajs = real_batch(*args, **kwargs)
+        def far_seed(config, sets, output_times=None, near=None):
+            trajs = real_batch(config, sets, output_times=output_times,
+                               near=replace(near, states=10.0 * near.states))
             days.append(trajs[0].burn_in_days)
             return trajs
 
-        monkeypatch.setattr(sensitivity, "integrate_batch", fails_first_check)
+        monkeypatch.setattr(sensitivity, "integrate_batch", far_seed)
         later = rank_parameters(params)
         assert days == [2]
         assert later.burn_in_residual <= 1.0
