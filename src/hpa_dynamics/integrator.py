@@ -10,7 +10,7 @@ is one march that stops at each day end (1440 min, the forcing period) and
 ends as soon as one day leaves every component within ``abs_tol + rel_tol *
 |y|``: that state is a point of the attractor, and so the state at ``t0``.
 ``burn_in`` is the cap. The recorded window is a second, fresh march. A
-batch seeded from a converged nearby run is ordinary solves (``near``).
+batch started from a converged nearby run is ordinary solves (``near``).
 """
 
 from __future__ import annotations
