@@ -474,10 +474,12 @@ def _solve(config: IntegrationConfig, p, y, output_times):
     either mode, recording on ``output_times``, sorted; by default every
     ``dt`` (fixed mode) or ``output_dt`` (adaptive mode) minutes, end
     inclusive. Its steps do not depend on the output times (``_march``).
-    Returns (times, states, burn-in days, burn-in residual); ``states`` has
-    shape (time, 3) for one model and (time, 3, member) for a batch. Fixed
-    mode refuses a ``dt`` that puts the fastest removal rate of any member
-    past RK4's stability bound.
+    It is the one place that converts and checks given output times.
+    Returns (times, states, burn-in days, burn-in residual, (state at t0,
+    state at t_end)), the last pair being the window march's own ends
+    whatever the output times; ``states`` has shape (time, 3) for one model
+    and (time, 3, member) for a batch. Fixed mode refuses a ``dt`` that puts
+    the fastest removal rate of any member past RK4's stability bound.
     """
     fixed = config.mode == "fixed"
     if fixed:
@@ -498,7 +500,10 @@ def _solve(config: IntegrationConfig, p, y, output_times):
         output_times = _output_grid(config.t0, config.t_end,
                                     config.dt if fixed else config.output_dt)
     else:
-        output_times = sorted(float(t) for t in output_times)
+        try:
+            output_times = sorted(float(t) for t in output_times)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise IntegrationError(f"output_times must be numbers: {exc}") from None
         if not output_times:
             raise IntegrationError("output_times is empty")
         if len(output_times) > _MAX_STEPS:
@@ -510,14 +515,14 @@ def _solve(config: IntegrationConfig, p, y, output_times):
     y, days, residual = _burn_in(config, p, y)
     states = np.empty((len(output_times),) + np.shape(y))
     # a fresh march: the window does not inherit the burn-in's step size
-    next(_march(config.t0, [config.t_end], y, p, config, output_times, states))
+    end = next(_march(config.t0, [config.t_end], y, p, config, output_times, states))
     # an interpolated state also reads the derivative at its step's end,
     # which no later step checks after the window's last one
     finite = np.isfinite(states).reshape(len(output_times), -1).all(axis=1)
     if not finite.all():
         t = output_times[int(np.argmin(finite))]
         raise IntegrationError(f"non-finite state at t={t}", t=t)
-    return np.asarray(output_times, dtype=float), states, days, residual
+    return np.asarray(output_times, dtype=float), states, days, residual, (y, end)
 
 
 def integrate(config: IntegrationConfig, p: ParameterSet,
@@ -535,7 +540,7 @@ def integrate(config: IntegrationConfig, p: ParameterSet,
     state, so a row does not depend on which other times are asked for.
     """
     s0 = config.initial_state or default_initial_state(p, config.t0 - config.burn_in)
-    times, states, days, residual = _solve(config, p, s0.as_tuple(), output_times)
+    times, states, days, residual, _ = _solve(config, p, s0.as_tuple(), output_times)
     return Trajectory(times, states, p, days, residual)
 
 
@@ -550,25 +555,22 @@ def integrate_batch(config: IntegrationConfig, param_sets, output_times=None,
 
     ``near`` is a run of a nearby parameter set over the same window, such
     as a finite-difference baseline. If its burn-in converged, it starts at
-    ``t0``, the window spans one forcing period (to within 1e-9 min) and
-    the output times run from ``t0`` to ``t_end``, the batch is ordinary
-    solves: the first from ``near``'s state at ``t0`` with one day of
-    burn-in, which shrinks each member's offset from its attractor (about
-    the parameter offset) by a factor of 1e-12 to 3e-7 (measured over the
-    burn-ins of fits). The recorded day is the check day: until one changes
-    no component beyond the burn-in's tolerance, or ``burn_in``'s whole days
-    are spent, the next solve starts from its end with no burn-in.
-    ``burn_in_days`` counts the days before the recorded one, and
-    ``burn_in_residual`` is the recorded day's change. Otherwise it runs cold.
+    ``t0`` and the window spans one forcing period (to within 1e-9 min),
+    the batch is ordinary solves: the first from ``near``'s state at ``t0``
+    with one day of burn-in, which shrinks each member's offset from its
+    attractor (about the parameter offset) by a factor of 1e-12 to 3e-7
+    (measured over the burn-ins of fits). The recorded day is the check
+    day, which compares the window march's start and end states, whatever
+    the output times: until one changes no component beyond the burn-in's
+    tolerance, or ``burn_in``'s whole days are spent, the next solve starts
+    from its end with no burn-in, on the same times. ``burn_in_days`` counts
+    the days before the recorded one, and ``burn_in_residual`` is the
+    recorded day's change. Otherwise it runs cold.
     """
     batch = ParameterBatch(param_sets)
-    if output_times is not None:
-        output_times = sorted(float(t) for t in output_times)
     seeded = (near is not None and near.burn_in_residual <= 1.0
               and near.times[0] == config.t0
-              and abs(config.t_end - config.t0 - _DAY) <= _LAND_TOL
-              and (output_times is None or output_times[:1] == [config.t0]
-                   and output_times[-1] >= config.t_end - _LAND_TOL))
+              and abs(config.t_end - config.t0 - _DAY) <= _LAND_TOL)
     cap = config.burn_in // _DAY
     if seeded:
         config = replace(config, initial_state=HormoneState(*near.states[0]), burn_in=_DAY)
@@ -577,13 +579,13 @@ def integrate_batch(config: IntegrationConfig, param_sets, output_times=None,
     y = tuple(np.array(column) for column in zip(*starts))
     # Hill terms at a zero argument divide by zero by design (see _hill_denominator)
     with np.errstate(divide="ignore", over="ignore"):
-        times, states, days, residual = _solve(config, batch, y, output_times)
+        times, states, days, residual, (start, end) = _solve(config, batch, y, output_times)
         while seeded:
-            residual = _day_change(states[0], states[-1], config.abs_tol, config.rel_tol)
+            residual = _day_change(start, end, config.abs_tol, config.rel_tol)
             if residual <= 1.0 or days >= cap:
                 break
-            times, states, _, _ = _solve(replace(config, burn_in=0.0), batch,
-                                         tuple(states[-1]), output_times)
+            times, states, _, _, (start, end) = _solve(replace(config, burn_in=0.0),
+                                                       batch, end, times)
             days += 1
     # member views of one (member, time, variable) block, not copies
     by_member = states.transpose(2, 0, 1)

@@ -357,10 +357,13 @@ class TestFixedModeOutputTimes:
         integrate(IntegrationConfig(t_end=60.0, burn_in=1440.0, **settings), params)
         assert times == []
 
-    @pytest.mark.parametrize("times", [[], [0.0, 61.0], [-1.0, 30.0]])
+    @pytest.mark.parametrize("times", [[], [0.0, 61.0], [-1.0, 30.0], ["x"], 5.0,
+                                       [[0.0, 1.0]], [1j], [10 ** 400]])
     def test_empty_or_outside_rejected(self, params, times):
-        with pytest.raises(IntegrationError, match="empty|outside"):
+        with pytest.raises(IntegrationError, match="empty|outside|numbers"):
             integrate(self.CFG, params, output_times=times)
+        with pytest.raises(IntegrationError, match="empty|outside|numbers"):
+            integrate_batch(self.CFG, [params], output_times=times)
 
     def test_step_tries_counted(self, params, monkeypatch):
         monkeypatch.setattr(integrator, "_MAX_STEPS", 10)
@@ -741,15 +744,22 @@ class TestSeededBatch:
             assert got.burn_in_days == 2 and got.burn_in_residual <= 1.0
             assert off_by(got, ref) <= 1e-7
 
-    def test_grid_off_the_window_ends_runs_cold(self, sets, near):
-        # the check day compares the first and last recorded states, so a
-        # grid that misses t0 or t_end cannot seed the batch
-        for grid in (self.GRID[1:], self.GRID[:-1]):
+    def test_grid_off_the_window_ends_seeds_alike(self, sets, near, settled):
+        # the check day compares the window march's own ends, so a grid that
+        # misses t0 or t_end seeds the batch and gets the full grid's rows
+        far = replace(near, states=10.0 * near.states)
+        later = integrate_batch(self.CFG, sets, output_times=self.GRID, near=far)
+        for part in (slice(1, None), slice(None, -1), slice(5, 40)):
+            grid = self.GRID[part]
             got = integrate_batch(self.CFG, sets, output_times=iter(grid), near=near)
-            cold = integrate_batch(self.CFG, sets, output_times=grid)
-            for a, b in zip(got, cold):
-                assert np.array_equal(a.states, b.states)
-                assert a.burn_in_days == b.burn_in_days > 1
+            for a, ref in zip(got, settled):
+                assert np.array_equal(a.times, grid)
+                assert np.array_equal(a.states, ref.states[part])
+                assert (a.burn_in_days, a.burn_in_residual) == (1, ref.burn_in_residual)
+            got = integrate_batch(self.CFG, sets, output_times=iter(grid), near=far)
+            for a, ref in zip(got, later):
+                assert np.array_equal(a.states, ref.states[part])
+                assert a.burn_in_days == ref.burn_in_days == 2
 
     def test_never_settled_stops_at_the_cap(self, sets, near, monkeypatch):
         monkeypatch.setattr(integrator, "_day_change", lambda *args: math.inf)

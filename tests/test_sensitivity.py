@@ -6,12 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hpa_dynamics import (ConfigError, IntegrationConfig, ParameterSet,
-                          PARAMETER_NAMES, SensitivityError,
-                          correlation_matrix, hill, rank_parameters,
-                          si_timeseries)
+from hpa_dynamics import (IntegrationConfig, ParameterSet, PARAMETER_NAMES,
+                          SensitivityError, correlation_matrix, hill,
+                          rank_parameters, si_timeseries)
 from hpa_dynamics import sensitivity
-from hpa_dynamics.parallel import ENV_VAR, worker_count
 
 # frozen daylight plus a long burn-in parks the feedback-free model on its
 # closed-form fixed point, where SI values are known exactly
@@ -361,38 +359,10 @@ class TestShortGrid:
 
 
 class TestParallel:
-    def test_worker_count_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "3")
-        assert worker_count() == 3
-        monkeypatch.setenv(ENV_VAR, "0")
-        assert worker_count() >= 1
-        monkeypatch.delenv(ENV_VAR)
-        assert worker_count() >= 1
-        monkeypatch.setenv(ENV_VAR, "banana")
-        with pytest.raises(ConfigError):
-            worker_count()
-
-    def test_pool_matches_serial(self, params, monkeypatch):
-        grid = np.array([0.0, 30.0, 60.0, 90.0, 120.0])
-        cfg = IntegrationConfig(t0=0.0, t_end=120.0, burn_in=1440.0)
-        monkeypatch.setenv(ENV_VAR, "1")
-        serial = rank_parameters(params, grid=grid, integration=cfg)
-        monkeypatch.setenv(ENV_VAR, "2")
-        pooled = rank_parameters(params, grid=grid, integration=cfg)
-        assert serial.ranking == pooled.ranking
-        assert serial.si_aggregate == pooled.si_aggregate
-        assert serial.fd_unstable == pooled.fd_unstable
-        for name in PARAMETER_NAMES:
-            assert np.array_equal(serial.si_series[name],
-                                  pooled.si_series[name])
-
     def test_report_starts_no_process(self, params, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("a sensitivity report started a process")
 
-        # the report runs in the calling process and reads no worker count,
-        # so a value that worker_count refuses cannot fail it
-        monkeypatch.setenv(ENV_VAR, "banana")
         monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
         report = rank_parameters(params, grid=SHORT_GRID, integration=SHORT_CFG)
         assert set(report.ranking) == set(PARAMETER_NAMES)

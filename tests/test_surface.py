@@ -31,3 +31,11 @@ def test_every_export_is_used_outside_the_tests():
     used |= set(re.findall(r"\w+", readme))
     unused = [name for name in hpa_dynamics.__all__ if name not in used]
     assert unused == [], f"exported but called only by tests: {unused}"
+
+
+def test_the_package_reads_no_environment_variable():
+    # every setting comes from arguments or a config file, so a result does
+    # not depend on the shell that started the run
+    readers = {f.name: sorted(_python_references(f) & {"environ", "getenv"})
+               for f in (ROOT / "src").rglob("*.py")}
+    assert {name: refs for name, refs in readers.items() if refs} == {}
